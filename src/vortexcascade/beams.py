@@ -286,23 +286,28 @@ def ring_radius(field: ComplexFieldGrid) -> float:
     return float(centers[j] + delta * dr)
 
 
+def loop_sample_count(spec: GridSpec, radius: float) -> int:
+    """Samples on a closed loop of the given radius: >= 16 per finest pitch."""
+    return max(512, 16 * int(math.ceil(radius / min(spec.dx, spec.dy))))
+
+
 def sample_on_circle(
-    field: ComplexFieldGrid,
+    values: np.ndarray,
+    spec: GridSpec,
     radius: float,
     n_samples: int,
     center_xy: tuple[float, float] = (0.0, 0.0),
     angle0: float = 0.0,
 ) -> np.ndarray:
-    """Bilinear samples of the field on a circle around center_xy (meters)."""
-    spec = field.spec
+    """Bilinear samples of a grid's values on a circle around center_xy (meters)."""
     ang = angle0 + 2.0 * math.pi * np.arange(n_samples) / n_samples
     px = center_xy[0] + radius * np.cos(ang)
     py = center_xy[1] + radius * np.sin(ang)
     col = px / spec.dx + spec.nx // 2
     row = py / spec.dy + spec.ny // 2
     coords = np.vstack([row, col])
-    re = map_coordinates(field.values.real, coords, order=1, mode="nearest")
-    im = map_coordinates(field.values.imag, coords, order=1, mode="nearest")
+    re = map_coordinates(values.real, coords, order=1, mode="nearest")
+    im = map_coordinates(values.imag, coords, order=1, mode="nearest")
     return re + 1j * im
 
 
@@ -321,8 +326,10 @@ def phase_circulation(
     undersampled or ill-defined windings.
     """
     delta = math.pi / n_samples  # half the angular step
-    at = sample_on_circle(field, radius, n_samples, center_xy)
-    ahead = sample_on_circle(field, radius, n_samples, center_xy, angle0=delta)
+    at = sample_on_circle(field.values, field.spec, radius, n_samples, center_xy)
+    ahead = sample_on_circle(
+        field.values, field.spec, radius, n_samples, center_xy, angle0=delta
+    )
     dphi = np.angle(ahead * np.conj(at))
     return float(np.sum(dphi) / (n_samples * delta))
 
@@ -341,7 +348,7 @@ def measure_charge_circulation(field: ComplexFieldGrid, loop_radius: float) -> i
             f"loop radius {loop_radius:g} m outside usable range "
             f"[{2.0 * pitch:g}, {r_max:g}]"
         )
-    n = max(512, 16 * int(math.ceil(loop_radius / min(spec.dx, spec.dy))))
+    n = loop_sample_count(spec, loop_radius)
     circ = phase_circulation(field, loop_radius, n_samples=n)
     nearest = round(circ)
     if abs(circ - nearest) > 0.25:

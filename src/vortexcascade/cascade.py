@@ -348,15 +348,19 @@ def uniform_amplitudes(k: int) -> complex:
     return complex(1.0)
 
 
-def build_comb(cfg: RamanConfig, amplitude_model=None) -> SpectralComb:
-    """Comb channels S_max_s .. AS_max_as from the closed-form ladder.
+def build_comb(cfg: RamanConfig, amplitude_model=None, ks=None) -> SpectralComb:
+    """Comb channels at ladder indices ks from the closed-form ladder.
 
-    amplitude_model maps ladder index -> complex amplitude; default is
-    geometric_amplitudes(0.6), a rendering choice with no physics attached.
+    ks is an increasing run of ladder indices; default S_max_s .. AS_max_as,
+    i.e. range(-max_s, max_as + 2). amplitude_model maps ladder index ->
+    complex amplitude; default is geometric_amplitudes(0.6), a rendering
+    choice with no physics attached.
     """
     model = amplitude_model if amplitude_model is not None else geometric_amplitudes(0.6)
+    if ks is None:
+        ks = range(-cfg.max_s, cfg.max_as + 2)
     channels = []
-    for k in range(-cfg.max_s, cfg.max_as + 2):
+    for k in ks:
         label = SidebandLabel.from_ladder_index(k)
         channels.append(
             CombChannel(

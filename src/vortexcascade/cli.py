@@ -14,16 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import (
-    CombChannel,
-    SidebandLabel,
-    SpectralComb,
-    build_comb,
-    geometric_amplitudes,
-    sideband_charge,
-    sideband_frequency,
-    uniform_amplitudes,
-)
+from .cascade import SidebandLabel, build_comb, geometric_amplitudes, uniform_amplitudes
 from .config import RunConfig, load_config
 from .errors import ConfigError, NonPeriodicError, VortexCascadeError
 from .grids import GridSpec
@@ -136,19 +127,7 @@ def cmd_pulse(cfg: RunConfig, outdir: Path) -> int:
 
     raman = cfg.raman_config(default_max_as=20, default_max_s=20)
     n = cfg.pulse_channels
-    k_lo = -(n // 2)
-    channels = []
-    for k in range(k_lo, k_lo + n):
-        label = SidebandLabel.from_ladder_index(k)
-        channels.append(
-            CombChannel(
-                label=label,
-                omega=sideband_frequency(raman, label),
-                ell=sideband_charge(raman, label),
-                amplitude=1.0 + 0.0j,
-            )
-        )
-    comb = SpectralComb(tuple(channels))
+    comb = build_comb(raman, uniform_amplitudes, range(-(n // 2), n - n // 2))
     wave_grid = cfg.time_grid()
     waveform = synthesize_waveform(comb, wave_grid)
     _write_csv(

@@ -178,7 +178,10 @@ class RunConfig:
 
     def chirped_pair(self) -> ChirpedPulsePair:
         if self.match:
-            t_d = delay_for_beat(self.chirp_b, self.omega_raman)
+            try:
+                t_d = delay_for_beat(self.chirp_b, self.omega_raman)
+            except ValueError as exc:
+                raise ConfigError(f"chirp_b {self.chirp_b:g}: {exc}", key="chirp_b") from exc
         elif self.t_d_fs is not None:
             t_d = self.t_d_fs * 1e-15
         else:

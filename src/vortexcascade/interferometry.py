@@ -17,15 +17,20 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, map_coordinates
+from scipy.ndimage import gaussian_filter
 
-from .beams import BeamParams, LGModeIndex, lg_mode_field
+from .beams import BeamParams, LGModeIndex, lg_mode_field, loop_sample_count, sample_on_circle
 from .cascade import RamanConfig, SidebandLabel, observed_sideband
 from .errors import AliasingError, GridMismatchError, RegionError, VortexCascadeError
 from .grids import ComplexFieldGrid, GridSpec
 from .units import wavelength_from_omega
 
 TWO_PI = 2.0 * math.pi
+
+
+def _wrap(a):
+    """Phase differences wrapped into [-pi, pi)."""
+    return np.mod(a + math.pi, TWO_PI) - math.pi
 
 
 @dataclass(frozen=True)
@@ -225,29 +230,16 @@ def _demodulate(gram: Interferogram, carrier: tuple[float, float]):
 def _winding_on_circle(
     values: np.ndarray, spec: GridSpec, center_xy: tuple[float, float], radius: float
 ) -> float:
-    n = max(512, 16 * int(math.ceil(radius / min(spec.dx, spec.dy))))
-    ang = TWO_PI * np.arange(n) / n
-    px = center_xy[0] + radius * np.cos(ang)
-    py = center_xy[1] + radius * np.sin(ang)
-    col = px / spec.dx + spec.nx // 2
-    row = py / spec.dy + spec.ny // 2
-    coords = np.vstack([row, col])
-    re = map_coordinates(values.real, coords, order=1, mode="nearest")
-    im = map_coordinates(values.imag, coords, order=1, mode="nearest")
-    ph = np.arctan2(im, re)
-    d = np.diff(ph, append=ph[:1])
-    d = np.mod(d + math.pi, TWO_PI) - math.pi
+    n = loop_sample_count(spec, radius)
+    ph = np.angle(sample_on_circle(values, spec, radius, n, center_xy))
+    d = _wrap(np.diff(ph, append=ph[:1]))
     return float(np.sum(d) / TWO_PI)
 
 
 def _plaquette_winding(phase: np.ndarray) -> np.ndarray:
     """Wrapped phase circulation around each 2x2 cell, in radians."""
-
-    def wrap(a):
-        return np.mod(a + math.pi, TWO_PI) - math.pi
-
-    dx = wrap(phase[:, 1:] - phase[:, :-1])
-    dy = wrap(phase[1:, :] - phase[:-1, :])
+    dx = _wrap(phase[:, 1:] - phase[:, :-1])
+    dy = _wrap(phase[1:, :] - phase[:-1, :])
     return dx[:-1, :] + dy[:, 1:] - dx[1:, :] - dy[:, :-1]
 
 
@@ -343,7 +335,7 @@ def extract_charge(
     """
     if carrier is None:
         carrier = gram.carrier
-    if math.hypot(*gram.carrier_frequency()) * min(gram.spec.extent_x, gram.spec.extent_y) < 3.0:
+    if math.hypot(*carrier) / gram.wavelength * min(gram.spec.extent_x, gram.spec.extent_y) < 3.0:
         detected = detect_carrier(gram, sign_hint)
         if detected is None:
             return ChargeReading(0, 0.0, "circulation")

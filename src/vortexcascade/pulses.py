@@ -17,6 +17,10 @@ import numpy as np
 from .cascade import SpectralComb
 from .errors import AliasingError, NonPeriodicError
 
+# std/mean below which a series is constant up to float64 rounding (about
+# 1e-16 for a single-line comb); its autocorrelation then holds only noise
+_ROUNDING_SPREAD = 1.0e-12
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -167,17 +171,18 @@ def train_period(series: np.ndarray, dt: float) -> float:
 
     Takes the smallest-lag local maximum within 2x of the strongest echo
     (echoes of a periodic train are near-equal, so this picks the fundamental)
-    and refines it parabolically. Raises when no echo exists.
+    and refines it parabolically. Raises when the series is constant up to
+    rounding or no echo exists.
     """
     series = np.asarray(series, dtype=float)
     n = series.size
     if n < 16:
         raise NonPeriodicError("series too short")
     a = series - series.mean()
+    if np.std(a) <= _ROUNDING_SPREAD * abs(series.mean()):
+        raise NonPeriodicError("series is constant up to rounding")
     ac = np.fft.irfft(np.abs(np.fft.rfft(a)) ** 2, n=n)
     half = ac[: n // 2]
-    if half[0] <= 0:
-        raise NonPeriodicError("series has no variance")
     interior = np.arange(2, half.size - 1)
     is_max = (half[interior] > half[interior - 1]) & (half[interior] >= half[interior + 1])
     peaks = interior[is_max]

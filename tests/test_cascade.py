@@ -303,6 +303,22 @@ class TestComb:
         for k in range(0, -20, -1):
             assert by_k[k - 1] / by_k[k] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "n, ks", [(41, range(-20, 21)), (2, range(-1, 1)), (1, range(0, 1))]
+    )
+    def test_window_matches_pulse_channels(self, n, ks):
+        # reference: the n flat channels centred on the Stokes/pump pair,
+        # k = -(n // 2) .. -(n // 2) + n - 1, as the pulse command uses them
+        cfg = make_config()
+        expected = []
+        for k in range(-(n // 2), -(n // 2) + n):
+            label = SidebandLabel.from_ladder_index(k)
+            expected.append(
+                (label, sideband_frequency(cfg, label), sideband_charge(cfg, label), 1.0 + 0.0j)
+            )
+        comb = build_comb(cfg, uniform_amplitudes, ks)
+        assert [(c.label, c.omega, c.ell, c.amplitude) for c in comb] == expected
+
     def test_channels_sorted_and_affine(self):
         comb = build_comb(make_config(ell_p=1, ell_s=-1))
         ks = [c.k for c in comb]

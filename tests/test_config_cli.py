@@ -155,6 +155,8 @@ class TestCombCommand:
     def test_config_error_exit_code(self, tmp_path):
         assert main(["comb", "--out", str(tmp_path), "--set", "bogus=1"]) == 2
         assert main(["comb", "--out", str(tmp_path), "--set", "grid_n=4"]) == 2
+        bad_chirp = ["--set", "match=true", "--set", "chirp_b=-1e26"]
+        assert main(["pulse", "--out", str(tmp_path)] + bad_chirp) == 2
 
 
 class TestFigure3Command:

@@ -129,6 +129,12 @@ class TestExtractCharge:
         assert extract_charge(gram).ell == 2
         assert extract_charge(gram.with_carrier_sign_flipped()).ell == -2
 
+    def test_explicit_carrier_overrides_zero_metadata(self):
+        gram = vortex_gram(3)
+        bare = Interferogram(gram.spec, gram.intensity, (0.0, 0.0), gram.wavelength)
+        assert extract_charge(bare, carrier=(TILT, 0.0)).ell == 3
+        assert extract_charge(bare, carrier=(-TILT, 0.0)).ell == -3
+
     def test_swapping_arms_negates(self):
         beam, spec = beam_and_grid()
         v = lg_mode_field(LGModeIndex(0, 2), beam, spec)

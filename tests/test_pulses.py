@@ -136,6 +136,8 @@ class TestSynthesizeWaveform:
         grid = TimeGrid(4096, 0.4e-15)
         intensity = synthesize_waveform(comb, grid)
         assert np.ptp(intensity) < 1e-9 * intensity.mean()
+        with pytest.raises(NonPeriodicError):
+            train_period(intensity, grid.dt)
 
     def test_five_flat_channels_make_raman_period_train(self):
         comb = five_channel_comb()
