@@ -311,12 +311,7 @@ def sample_on_circle(
     return re + 1j * im
 
 
-def phase_circulation(
-    field: ComplexFieldGrid,
-    radius: float,
-    n_samples: int = 1024,
-    center_xy: tuple[float, float] = (0.0, 0.0),
-) -> float:
+def phase_circulation(field: ComplexFieldGrid, radius: float, n_samples: int = 1024) -> float:
     """Phase circulation (1/2pi) * closed line integral of grad(phi) * dl.
 
     The tangential phase derivative is estimated independently at each of
@@ -326,10 +321,8 @@ def phase_circulation(
     undersampled or ill-defined windings.
     """
     delta = math.pi / n_samples  # half the angular step
-    at = sample_on_circle(field.values, field.spec, radius, n_samples, center_xy)
-    ahead = sample_on_circle(
-        field.values, field.spec, radius, n_samples, center_xy, angle0=delta
-    )
+    at = sample_on_circle(field.values, field.spec, radius, n_samples)
+    ahead = sample_on_circle(field.values, field.spec, radius, n_samples, angle0=delta)
     dphi = np.angle(ahead * np.conj(at))
     return float(np.sum(dphi) / (n_samples * delta))
 

@@ -265,19 +265,18 @@ def observed_sideband(
     pump_field: ComplexFieldGrid,
     stokes_field: ComplexFieldGrid,
     label: SidebandLabel,
-    focal_length: float | None = None,
     oversample: int = 1,
 ) -> ComplexFieldGrid:
     """Sideband as seen in the observation (focal) plane downstream.
 
     The camera sits in the far field of the interaction region, which is
     where the ring-size growth across orders shows up; the interaction-plane
-    product itself has an order-independent peak radius. With the default
-    focal length the observation grid pitch equals the source pitch for
+    product itself has an order-independent peak radius. far_field's default
+    focal length makes the observation grid pitch equal the source pitch for
     every order, so cross-order images share one grid.
     """
     product = spatial_sideband(pump_field, stokes_field, label)
-    return far_field(product, focal_length, oversample)
+    return far_field(product, oversample=oversample)
 
 
 @dataclass(frozen=True)

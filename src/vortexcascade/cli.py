@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import SidebandLabel, build_comb, geometric_amplitudes, uniform_amplitudes
+from .cascade import SidebandLabel, build_comb, uniform_amplitudes
 from .config import RunConfig, load_config
 from .errors import ConfigError, NonPeriodicError, VortexCascadeError
 from .grids import GridSpec
@@ -40,15 +40,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
-def _amplitude_model(cfg: RunConfig):
-    if cfg.amplitude_model == "uniform":
-        return uniform_amplitudes
-    return geometric_amplitudes(cfg.geometric_ratio)
-
-
 def cmd_comb(cfg: RunConfig, outdir: Path) -> int:
     raman = cfg.raman_config(default_max_as=20, default_max_s=20)
-    comb = build_comb(raman, _amplitude_model(cfg))
+    comb = build_comb(raman)
     rows = []
     for ch in comb:
         rows.append(
@@ -171,8 +165,12 @@ def cmd_analyze(image_path: str, carrier_sign: int, outdir: Path) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     ny, nx = intensity.shape
+    try:
+        spec = GridSpec(nx=nx, ny=ny, dx=1.0, dy=1.0)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     gram = Interferogram(
-        spec=GridSpec(nx=nx, ny=ny, dx=1.0, dy=1.0),
+        spec=spec,
         intensity=intensity,
         carrier=(0.0, 0.0),
         wavelength=1.0,

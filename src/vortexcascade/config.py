@@ -9,7 +9,7 @@ at the boundary and converted to SI internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -41,79 +41,53 @@ def _parse_float(s: str) -> float:
     return v
 
 
-def _parse_str(s: str) -> str:
-    return s.strip()
-
-
-@dataclass(frozen=True)
-class _Key:
-    parse: Callable[[str], Any]
-    default: Any
-    check: Callable[[Any], bool] | None = None
-    requirement: str = ""
-
-
-_SCHEMA: dict[str, _Key] = {
-    "pump_wavelength_nm": _Key(_parse_float, 800.0, lambda v: v > 0, "must be positive"),
-    "raman_shift_cm1": _Key(_parse_float, 320.0, lambda v: v > 0, "must be positive"),
-    "spp_charge": _Key(_parse_int, 1, lambda v: v != 0, "must be a nonzero integer"),
-    "m5_in": _Key(_parse_bool, False),
-    "ell_p": _Key(_parse_int, None),
-    "ell_s": _Key(_parse_int, None),
-    "grid_n": _Key(_parse_int, 512, lambda v: v >= 8, "must be at least 8"),
-    "grid_pitch_um": _Key(_parse_float, 25.0, lambda v: v > 0, "must be positive"),
-    "waist_mm": _Key(_parse_float, 1.0, lambda v: v > 0, "must be positive"),
-    "fringes": _Key(_parse_float, None, lambda v: v > 0, "must be positive"),
-    "offset_y_mm": _Key(_parse_float, 0.0),
-    "max_as": _Key(_parse_int, None, lambda v: v >= 0, "must be non-negative"),
-    "max_s": _Key(_parse_int, None, lambda v: v >= 0, "must be non-negative"),
-    "amplitude_model": _Key(
-        _parse_str,
-        "geometric",
-        lambda v: v in ("uniform", "geometric"),
-        "must be 'uniform' or 'geometric'",
-    ),
-    "geometric_ratio": _Key(
-        _parse_float, 0.6, lambda v: 0 < v <= 1, "must be in (0, 1]"
-    ),
-    "noise": _Key(_parse_float, 0.0, lambda v: v >= 0, "must be non-negative"),
-    "seed": _Key(_parse_int, 0, lambda v: v >= 0, "must be non-negative"),
-    "tau_fs": _Key(_parse_float, 800.0, lambda v: v > 0, "must be positive"),
-    "chirp_b": _Key(_parse_float, 1.0e26, lambda v: v != 0, "must be nonzero"),
-    "t_d_fs": _Key(_parse_float, None, lambda v: v >= 0, "must be non-negative"),
-    "match": _Key(_parse_bool, False),
-    "pulse_channels": _Key(_parse_int, 5, lambda v: v >= 1, "must be at least 1"),
-    "nt": _Key(_parse_int, 16384, lambda v: v >= 64, "must be at least 64"),
-    "dt_fs": _Key(_parse_float, 0.4, lambda v: v > 0, "must be positive"),
-}
+def _key(
+    parse: Callable[[str], Any],
+    default: Any,
+    check: Callable[[Any], bool] | None = None,
+    requirement: str = "",
+):
+    """A config key: its parser, default, and invariant with its wording."""
+    return field(
+        default=default,
+        metadata={"parse": parse, "check": check, "requirement": requirement},
+    )
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    pump_wavelength_nm: float
-    raman_shift_cm1: float
-    spp_charge: int
-    m5_in: bool
-    ell_p: int | None
-    ell_s: int | None
-    grid_n: int
-    grid_pitch_um: float
-    waist_mm: float
-    fringes: float | None
-    offset_y_mm: float
-    max_as: int | None
-    max_s: int | None
-    amplitude_model: str
-    geometric_ratio: float
-    noise: float
-    seed: int
-    tau_fs: float
-    chirp_b: float
-    t_d_fs: float | None
-    match: bool
-    pulse_channels: int
-    nt: int
-    dt_fs: float
+    """Every config key, with its default; cross-field checks on construction."""
+
+    pump_wavelength_nm: float = _key(_parse_float, 800.0, lambda v: v > 0, "must be positive")
+    raman_shift_cm1: float = _key(_parse_float, 320.0, lambda v: v > 0, "must be positive")
+    spp_charge: int = _key(_parse_int, 1, lambda v: v != 0, "must be a nonzero integer")
+    m5_in: bool = _key(_parse_bool, False)
+    ell_p: int | None = _key(_parse_int, None)
+    ell_s: int | None = _key(_parse_int, None)
+    grid_n: int = _key(_parse_int, 512, lambda v: v >= 8, "must be at least 8")
+    grid_pitch_um: float = _key(_parse_float, 25.0, lambda v: v > 0, "must be positive")
+    waist_mm: float = _key(_parse_float, 1.0, lambda v: v > 0, "must be positive")
+    fringes: float | None = _key(_parse_float, None, lambda v: v > 0, "must be positive")
+    offset_y_mm: float = _key(_parse_float, 0.0)
+    max_as: int | None = _key(_parse_int, None, lambda v: v >= 0, "must be non-negative")
+    max_s: int | None = _key(_parse_int, None, lambda v: v >= 0, "must be non-negative")
+    noise: float = _key(_parse_float, 0.0, lambda v: v >= 0, "must be non-negative")
+    seed: int = _key(_parse_int, 0, lambda v: v >= 0, "must be non-negative")
+    tau_fs: float = _key(_parse_float, 800.0, lambda v: v > 0, "must be positive")
+    chirp_b: float = _key(_parse_float, 1.0e26, lambda v: v != 0, "must be nonzero")
+    t_d_fs: float | None = _key(_parse_float, None, lambda v: v >= 0, "must be non-negative")
+    match: bool = _key(_parse_bool, False)
+    pulse_channels: int = _key(_parse_int, 5, lambda v: v >= 1, "must be at least 1")
+    nt: int = _key(_parse_int, 16384, lambda v: v >= 64, "must be at least 64")
+    dt_fs: float = _key(_parse_float, 0.4, lambda v: v > 0, "must be positive")
+
+    def __post_init__(self):
+        if (self.ell_p is None) != (self.ell_s is None):
+            raise ConfigError("ell_p and ell_s must be given together", key="ell_p")
+        if self.omega_stokes <= 0:
+            raise ConfigError(
+                "raman_shift_cm1 exceeds the pump wavenumber", key="raman_shift_cm1"
+            )
 
     # -- derived quantities ------------------------------------------------
 
@@ -151,18 +125,12 @@ class RunConfig:
     def charges(self) -> tuple[int, int]:
         """(ell_p, ell_s) at the crystal: explicit values win over the
         SPP-charge/parity flags."""
-        if (self.ell_p is None) != (self.ell_s is None):
-            raise ConfigError("ell_p and ell_s must be given together", key="ell_p")
         if self.ell_p is not None:
             return self.ell_p, self.ell_s
         return crystal_charges(self.spp_charge, self.m5_in)
 
     def raman_config(self, default_max_as: int, default_max_s: int) -> RamanConfig:
         ell_p, ell_s = self.charges()
-        if self.omega_stokes <= 0:
-            raise ConfigError(
-                "raman_shift_cm1 exceeds the pump wavenumber", key="raman_shift_cm1"
-            )
         return RamanConfig(
             omega_p=self.omega_pump,
             omega_s=self.omega_stokes,
@@ -173,8 +141,8 @@ class RunConfig:
             max_s=self.max_s if self.max_s is not None else default_max_s,
         )
 
-    def time_grid(self, t_start: float | None = None) -> TimeGrid:
-        return TimeGrid(self.nt, self.dt, t_start)
+    def time_grid(self) -> TimeGrid:
+        return TimeGrid(self.nt, self.dt)
 
     def chirped_pair(self) -> ChirpedPulsePair:
         if self.match:
@@ -189,14 +157,18 @@ class RunConfig:
         return ChirpedPulsePair(tau=self.tau, b=self.chirp_b, t_d=t_d)
 
 
+# key -> {parse, check, requirement}, read off the RunConfig fields
+_SCHEMA = {f.name: f.metadata for f in fields(RunConfig)}
+
+
 def _parse_value(key: str, raw: str, line: int | None) -> Any:
     entry = _SCHEMA[key]
     try:
-        value = entry.parse(raw)
+        value = entry["parse"](raw)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad value for {key}: {exc}", key=key, line=line) from exc
-    if entry.check is not None and not entry.check(value):
-        raise ConfigError(f"{key} {entry.requirement}, got {value}", key=key, line=line)
+    if entry["check"] is not None and not entry["check"](value):
+        raise ConfigError(f"{key} {entry['requirement']}, got {value}", key=key, line=line)
     return value
 
 
@@ -223,7 +195,7 @@ def load_config(
     seed: int | None = None,
 ) -> RunConfig:
     """Build a RunConfig from defaults, an optional file, and --set overrides."""
-    values = {name: entry.default for name, entry in _SCHEMA.items()}
+    values: dict[str, Any] = {}
     if path is not None:
         p = Path(path)
         if not p.is_file():
@@ -239,10 +211,4 @@ def load_config(
         values[key] = _parse_value(key, raw, None)
     if seed is not None:
         values["seed"] = seed
-    cfg = RunConfig(**{f.name: values[f.name] for f in fields(RunConfig)})
-    cfg.charges()  # cross-field validation
-    if cfg.omega_stokes <= 0:
-        raise ConfigError(
-            "raman_shift_cm1 exceeds the pump wavenumber", key="raman_shift_cm1"
-        )
-    return cfg
+    return RunConfig(**values)

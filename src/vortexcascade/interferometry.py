@@ -26,11 +26,25 @@ from .grids import ComplexFieldGrid, GridSpec
 from .units import wavelength_from_omega
 
 TWO_PI = 2.0 * math.pi
+# focal-plane sampling of every order: the synthetic aperture is this many
+# times the source frame (see PanelGeometry)
+OVERSAMPLE = 4
 
 
 def _wrap(a):
     """Phase differences wrapped into [-pi, pi)."""
     return np.mod(a + math.pi, TWO_PI) - math.pi
+
+
+def _check_carrier(carrier: tuple[float, float], wavelength: float, spec: GridSpec) -> None:
+    ax, ay = carrier
+    if abs(ax) >= wavelength / (2.0 * spec.dx) or abs(ay) >= wavelength / (2.0 * spec.dy):
+        raise AliasingError("carrier tilt at or beyond the Nyquist angle")
+
+
+def _bin_mesh(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed FFT bin indices (bx, by) of an ny x nx spectrum, shape (ny, nx)."""
+    return np.meshgrid(np.fft.fftfreq(nx) * nx, np.fft.fftfreq(ny) * ny)
 
 
 @dataclass(frozen=True)
@@ -58,15 +72,7 @@ class Interferogram:
         object.__setattr__(self, "intensity", vals)
         if self.wavelength <= 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        ax, ay = self.carrier
-        if abs(ax) >= self.wavelength / (2.0 * self.spec.dx) or abs(ay) >= self.wavelength / (
-            2.0 * self.spec.dy
-        ):
-            raise AliasingError("carrier tilt at or beyond the Nyquist angle")
-
-    def carrier_frequency(self) -> tuple[float, float]:
-        """Carrier spatial frequency in cycles per meter."""
-        return (self.carrier[0] / self.wavelength, self.carrier[1] / self.wavelength)
+        _check_carrier(self.carrier, self.wavelength, self.spec)
 
     def with_carrier_sign_flipped(self) -> "Interferogram":
         return replace(self, carrier=(-self.carrier[0], -self.carrier[1]))
@@ -153,9 +159,7 @@ def detect_carrier(gram: Interferogram, sign_hint: int = 1) -> tuple[float, floa
     intensity = gram.intensity
     ny, nx = intensity.shape
     spectrum = np.abs(np.fft.fft2(intensity - intensity.mean()))
-    bx = np.fft.fftfreq(nx) * nx
-    by = np.fft.fftfreq(ny) * ny
-    bxg, byg = np.meshgrid(bx, by)
+    bxg, byg = _bin_mesh(ny, nx)
 
     # The baseband envelope lobe can out-shine the carrier well past DC, so
     # exclude it adaptively: walk the radial max-profile of the spectrum out
@@ -198,9 +202,11 @@ def _demodulate(gram: Interferogram, carrier: tuple[float, float]):
 
     D is the complex interference term with the carrier ramp removed
     (conj(V)*R for a synthesized pattern); I_lowpass is the baseband
-    |V|^2+|R|^2 filtered with the same window radius.
+    |V|^2+|R|^2 filtered with the same window radius. Raises AliasingError
+    for a carrier at or beyond the Nyquist angle.
     """
     spec = gram.spec
+    _check_carrier(carrier, gram.wavelength, spec)
     fx_c = carrier[0] / gram.wavelength
     fy_c = carrier[1] / gram.wavelength
     cbx = fx_c * spec.nx * spec.dx
@@ -211,9 +217,7 @@ def _demodulate(gram: Interferogram, carrier: tuple[float, float]):
     r_mask = 0.5 * c_mag
 
     F = np.fft.fft2(gram.intensity)
-    bx = np.fft.fftfreq(spec.nx) * spec.nx
-    by = np.fft.fftfreq(spec.ny) * spec.ny
-    bxg, byg = np.meshgrid(bx, by)
+    bxg, byg = _bin_mesh(spec.ny, spec.nx)
 
     def _window(cx, cy):
         dist = np.hypot(bxg - cx, byg - cy)
@@ -341,7 +345,7 @@ def extract_charge(
             return ChargeReading(0, 0.0, "circulation")
         carrier = detected
 
-    D, i_lp = _demodulate(replace(gram, carrier=carrier), carrier)
+    D, i_lp = _demodulate(gram, carrier)
     env = np.abs(D)
     if float(env.max()) < 1.0e-9 * max(float(i_lp.max()), 1e-300):
         return ChargeReading(0, 0.0, "circulation")
@@ -463,20 +467,17 @@ class PanelGeometry:
     """Rendering geometry for the double-source sideband experiment.
 
     Sidebands are observed in the focal plane of an effective lens through a
-    synthetic aperture `oversample` times the source frame, which resolves
-    the focal patterns with oversample times more samples while keeping one
+    synthetic aperture OVERSAMPLE times the source frame, which resolves
+    the focal patterns with OVERSAMPLE times more samples while keeping one
     observation grid for every order. The carrier is specified as a fringe
     count across the frame (default nx/8) so each order's interferogram is
-    demodulated at the same spectral position; an explicit tilt angle
-    overrides it.
+    demodulated at the same spectral position.
     """
 
     spec: GridSpec
     waist: float
     fringes: float | None = None
-    tilt: float | None = None
     offset_y: float = 0.0
-    oversample: int = 4
     noise_fraction: float = 0.0
     seed: int = 0
 
@@ -519,18 +520,11 @@ def analyze_order_panel(
     results: list[OrderResult] = []
     for label in orders:
         try:
-            vortex = observed_sideband(
-                pump_v, stokes_v, label, oversample=geometry.oversample
+            vortex = observed_sideband(pump_v, stokes_v, label, oversample=OVERSAMPLE)
+            reference = observed_sideband(pump_r, stokes_r, label, oversample=OVERSAMPLE)
+            tilt = geometry.fringe_count() * vortex.wavelength / (
+                vortex.spec.nx * vortex.spec.dx
             )
-            reference = observed_sideband(
-                pump_r, stokes_r, label, oversample=geometry.oversample
-            )
-            if geometry.tilt is not None:
-                tilt = geometry.tilt
-            else:
-                tilt = geometry.fringe_count() * vortex.wavelength / (
-                    vortex.spec.nx * vortex.spec.dx
-                )
             gram = synthesize_interferogram(
                 vortex, reference, tilt, geometry.offset_y, label=label
             )

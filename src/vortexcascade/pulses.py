@@ -51,15 +51,14 @@ class TimeGrid:
 class ChirpedPulsePair:
     """Two identical linearly chirped Gaussians, the second delayed by t_d.
 
-    Single-pulse field: E(t) = exp(-t^2/(2 tau^2) + i(omega0 t + b t^2 / 2)),
-    so the instantaneous frequency is omega0 + b*t and the pair's overlap
-    region beats at exactly b*t_d.
+    Single-pulse field: E(t) = exp(-t^2/(2 tau^2) + i b t^2 / 2), so the
+    instantaneous frequency is b*t and the pair's overlap region beats at
+    exactly b*t_d.
     """
 
     tau: float
     b: float
     t_d: float
-    omega0: float = 0.0
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -85,7 +84,7 @@ def delay_for_beat(b: float, omega_target: float) -> float:
 
 def _single_chirped(pair: ChirpedPulsePair, t: np.ndarray) -> np.ndarray:
     envelope = np.exp(-(t**2) / (2.0 * pair.tau**2))
-    return envelope * np.exp(1j * (pair.omega0 * t + 0.5 * pair.b * t**2))
+    return envelope * np.exp(1j * (0.5 * pair.b * t**2))
 
 
 def chirped_pair_field(pair: ChirpedPulsePair, grid: TimeGrid) -> np.ndarray:
@@ -98,7 +97,7 @@ def chirped_pair_field(pair: ChirpedPulsePair, grid: TimeGrid) -> np.ndarray:
     if t[0] > -2.0 * pair.tau or t[-1] < pair.t_d + 2.0 * pair.tau:
         raise ValueError("grid does not cover both pulses with a 2*tau margin")
     t_edge = max(abs(t[0]), abs(t[-1]))
-    w_max = abs(pair.omega0) + abs(pair.b) * t_edge
+    w_max = abs(pair.b) * t_edge
     if w_max * grid.dt >= math.pi:
         raise AliasingError(
             f"instantaneous frequency up to {w_max:g} rad/s aliases at dt={grid.dt:g} s"
@@ -134,22 +133,17 @@ def synthesize_waveform(
     return np.abs(field) ** 2
 
 
-def envelope_modulation_frequency(
-    series: np.ndarray, dt: float, min_omega: float | None = None
-) -> float:
+def envelope_modulation_frequency(series: np.ndarray, dt: float) -> float:
     """Dominant modulation frequency (rad/s) of an intensity series.
 
-    Peak of |FFT| excluding the DC/hull region below min_omega (default: a
-    few bins, scaled with the record length); parabolic sub-bin refinement.
-    Raises when nothing stands out of the hull.
+    Peak of |FFT| excluding the DC/hull region (a few bins, scaled with the
+    record length); parabolic sub-bin refinement. Raises when nothing stands
+    out of the hull.
     """
     series = np.asarray(series, dtype=float)
     n = series.size
     spectrum = np.abs(np.fft.rfft(series - series.mean()))
-    if min_omega is not None:
-        guard = max(3, int(math.ceil(min_omega / (2.0 * math.pi) * n * dt)))
-    else:
-        guard = max(3, n // 512)
+    guard = max(3, n // 512)
     if spectrum.size <= guard + 2:
         raise NonPeriodicError("series too short to resolve a modulation peak")
     body = spectrum[guard:-1]

@@ -1,10 +1,13 @@
 """Configuration parsing, CLI subcommands, and file formats."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vortexcascade.cli import main
-from vortexcascade.config import load_config, parse_config_text
+from vortexcascade.config import RunConfig, load_config, parse_config_text
 from vortexcascade.errors import ConfigError
 from vortexcascade.pgmio import read_pgm16, write_pgm16
 
@@ -92,6 +95,21 @@ grid_n = 128
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.cfg")
 
+    @pytest.mark.parametrize(
+        "kwargs,key",
+        [({"ell_p": 1}, "ell_p"), ({"raman_shift_cm1": 20000.0}, "raman_shift_cm1")],
+    )
+    def test_direct_construction_checks_cross_fields(self, kwargs, key):
+        with pytest.raises(ConfigError) as err:
+            RunConfig(**kwargs)
+        assert err.value.key == key
+        assert key in str(err.value)
+
+    def test_readme_example_config_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        RunConfig(**parse_config_text(block))
+
 
 class TestPgmFormat:
     def test_round_trip_within_quantization(self, tmp_path):
@@ -157,6 +175,9 @@ class TestCombCommand:
         assert main(["comb", "--out", str(tmp_path), "--set", "grid_n=4"]) == 2
         bad_chirp = ["--set", "match=true", "--set", "chirp_b=-1e26"]
         assert main(["pulse", "--out", str(tmp_path)] + bad_chirp) == 2
+        tiny = tmp_path / "tiny.pgm"
+        write_pgm16(tiny, np.ones((4, 4)))
+        assert main(["analyze", str(tiny), "--out", str(tmp_path)]) == 2
 
 
 class TestFigure3Command:

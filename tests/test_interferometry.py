@@ -134,6 +134,9 @@ class TestExtractCharge:
         bare = Interferogram(gram.spec, gram.intensity, (0.0, 0.0), gram.wavelength)
         assert extract_charge(bare, carrier=(TILT, 0.0)).ell == 3
         assert extract_charge(bare, carrier=(-TILT, 0.0)).ell == -3
+        # an explicit carrier is held to the same Nyquist limit as metadata
+        with pytest.raises(AliasingError):
+            extract_charge(bare, carrier=(WL / PITCH, 0.0))
 
     def test_swapping_arms_negates(self):
         beam, spec = beam_and_grid()
