@@ -54,6 +54,7 @@ def cmd_comb(cfg: RunConfig, outdir: Path) -> int:
                 str(ch.ell),
             ]
         )
+    outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "comb.csv", ["label", "k", "wavelength_nm", "frequency_THz", "ell"], rows)
     print(f"wrote {outdir / 'comb.csv'} with {len(rows)} channels")
     return 0
@@ -72,6 +73,7 @@ def cmd_figure3(cfg: RunConfig, outdir: Path) -> int:
     orders = [SidebandLabel.from_ladder_index(k) for k in range(-raman.max_s, raman.max_as + 2)]
     results = analyze_order_panel(raman, geometry, orders)
 
+    outdir.mkdir(parents=True, exist_ok=True)
     rows = []
     any_ok = False
     for res in results:
@@ -113,17 +115,19 @@ def cmd_pulse(cfg: RunConfig, outdir: Path) -> int:
         nt *= 2
     beat_grid = TimeGrid(nt, dt, -(nt // 2) * dt + pair.t_d / 2.0)
     beat_intensity = np.abs(chirped_pair_field(pair, beat_grid)) ** 2
-    _write_csv(
-        outdir / "beat.csv",
-        ["t_seconds", "intensity"],
-        [[f"{t:.9e}", f"{v:.9e}"] for t, v in zip(beat_grid.times, beat_intensity)],
-    )
 
     raman = cfg.raman_config(default_max_as=20, default_max_s=20)
     n = cfg.pulse_channels
     comb = build_comb(raman, uniform_amplitudes, range(-(n // 2), n - n // 2))
     wave_grid = cfg.time_grid()
     waveform = synthesize_waveform(comb, wave_grid)
+
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_csv(
+        outdir / "beat.csv",
+        ["t_seconds", "intensity"],
+        [[f"{t:.9e}", f"{v:.9e}"] for t, v in zip(beat_grid.times, beat_intensity)],
+    )
     _write_csv(
         outdir / "waveform.csv",
         ["t_seconds", "intensity"],
@@ -177,6 +181,7 @@ def cmd_analyze(image_path: str, carrier_sign: int, outdir: Path) -> int:
     )
     reading = extract_charge(gram, sign_hint=carrier_sign)
     print(f"ell={reading.ell:+d} confidence={reading.confidence:.4f} method={reading.method}")
+    outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         outdir / "analysis.csv",
         ["image", "ell", "confidence", "method"],
@@ -225,7 +230,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "analyze":
             return cmd_analyze(args.image, args.carrier_sign, outdir)
         cfg = load_config(args.config, args.set, args.seed)

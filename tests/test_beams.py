@@ -274,6 +274,36 @@ class TestFarField:
         oracle = math.sqrt(0.5) * WL * f_len / (math.pi * beam.waist_w0)
         assert ring_radius(fine) == pytest.approx(oracle, rel=0.05)
 
+    @staticmethod
+    def padded_fft_far_field(values, spec, lam, f, oversample):
+        """The padded-FFT crop: centred FFT of the zero-padded source, central window."""
+        npy, npx = oversample * spec.ny, oversample * spec.nx
+        oy, ox = (npy - spec.ny) // 2, (npx - spec.nx) // 2
+        source = np.zeros((npy, npx), dtype=np.complex128)
+        source[oy : oy + spec.ny, ox : ox + spec.nx] = values
+        transformed = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(source)))
+        window = transformed[oy : oy + spec.ny, ox : ox + spec.nx]
+        pitch = (lam * f / (npx * spec.dx), lam * f / (npy * spec.dy))
+        return window * spec.cell_area / (lam * f), pitch
+
+    def test_matches_padded_fft_crop(self):
+        # oracle: the window the matrix Fourier transform computes is the
+        # central crop of the padded FFT, to rounding
+        rng = np.random.default_rng(11)
+        cases = [((ny, nx), os, None) for ny, nx in ((8, 8), (9, 11), (16, 13), (33, 40), (64, 64))
+                 for os in (1, 2, 3, 4)]
+        cases += [((9, 11), 3, 0.25), ((512, 512), 4, None)]
+        for (ny, nx), os, f_len in cases:
+            spec = GridSpec(nx=nx, ny=ny, dx=20e-6, dy=30e-6)
+            values = rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx))
+            ff = far_field(ComplexFieldGrid(spec, WL, values), focal_length=f_len, oversample=os)
+            f = f_len if f_len is not None else os * nx * spec.dx**2 / WL
+            expect, pitch = self.padded_fft_far_field(values, spec, WL, f, os)
+            case = f"{ny}x{nx} oversample={os} f={f_len}"
+            assert (ff.spec.dx, ff.spec.dy) == pitch, case
+            rel = np.max(np.abs(ff.values - expect)) / np.max(np.abs(expect))
+            assert rel <= 1e-12, case
+
 
 class TestChargeCirculation:
     def test_plain_modes(self):

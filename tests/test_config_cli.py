@@ -179,6 +179,19 @@ class TestCombCommand:
         write_pgm16(tiny, np.ones((4, 4)))
         assert main(["analyze", str(tiny), "--out", str(tmp_path)]) == 2
 
+    def test_refused_run_leaves_no_output_directory(self, tmp_path):
+        tiny = tmp_path / "tiny.pgm"
+        write_pgm16(tiny, np.ones((4, 4)))
+        refused = {
+            "comb": ["comb", "--set", "bogus=1"],
+            "pulse": ["pulse", "--set", "match=true", "--set", "chirp_b=-1e26"],
+            "analyze": ["analyze", str(tiny)],
+        }
+        for name, args in refused.items():
+            out = tmp_path / f"out_{name}"
+            assert main(args + ["--out", str(out)]) == 2, name
+            assert not out.exists(), name
+
 
 class TestFigure3Command:
     def test_readings_match_comb_charges(self, tmp_path):
