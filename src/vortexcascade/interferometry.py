@@ -3,7 +3,12 @@
 An interferogram is the intensity of a vortex-set field plus a tilted
 reference-set field of the same color. Readout is Fourier demodulation:
 isolate the sideband at the +carrier frequency, remove the carrier ramp,
-and integrate the phase winding around the detected singularity. With the
+and integrate the phase winding around the detected singularity. The
+demodulation is Takeda's with spectral cropping (Takeda, Ina & Kobayashi,
+JOSA 72, 156, 1982): one rfft2 per image, then only a small patch around
+the carrier (and one around DC) is inverse-transformed, so the core search,
+the windings and the visibility all run on a decimated grid whose pitch is
+the frame's times n/M (M = 64 for a 32-fringe carrier). With the
 carrier at +f_c the demodulated field is conj(V)*R, so the reported charge
 is ell(V) - ell(R); flipping the carrier metadata sign conjugates the
 demodulated field and negates the reading, which is exactly the statement
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -42,9 +48,36 @@ def _check_carrier(carrier: tuple[float, float], wavelength: float, spec: GridSp
         raise AliasingError("carrier tilt at or beyond the Nyquist angle")
 
 
-def _bin_mesh(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signed FFT bin indices (bx, by) of an ny x nx spectrum, shape (ny, nx)."""
-    return np.meshgrid(np.fft.fftfreq(nx) * nx, np.fft.fftfreq(ny) * ny)
+def _fft_order(n: int) -> np.ndarray:
+    """Signed integer bins of an n-point FFT, in FFT order (np.fft.fftfreq * n)."""
+    return np.fft.ifftshift(np.arange(n) - n // 2)
+
+
+def _crop_axis(n: int, m: int, center: float):
+    """One axis of an m-bin spectral crop around the (fractional) bin center.
+
+    Returns (bins, shift, ramp). bins are the crop's signed bins in FFT
+    order, each reduced to np.fft.fftfreq's range of an n-bin axis. shift is
+    the per-bin phase that places coarse sample j at the fine position
+    n//2 + (j - m//2)*n/m, which is the coarse GridSpec's coordinate. ramp is
+    the per-sample factor m/n * exp(2*pi*i*(c_int*j - center*(j - m//2))/m):
+    it restores the crop's integer bin shift c_int, removes the carrier in
+    coarse coordinates and rescales the m-point inverse FFT to the frame's.
+    """
+    c_int = int(round(center))
+    offsets = _fft_order(m)
+    delta = n // 2 - (m // 2) * n / m  # sub-sample offset; 0 when m divides n
+    shift = np.exp(1j * TWO_PI * (c_int + offsets) * delta / n)
+    j = np.arange(m)
+    ramp = (m / n) * np.exp(1j * TWO_PI * (c_int * j - center * (j - m // 2)) / m)
+    bins = (c_int + offsets + n // 2) % n - n // 2
+    return bins, shift, ramp
+
+
+def _coarse_samples_in(lo: int, hi: int, n: int, m: int) -> np.ndarray:
+    """Mask of the m coarse samples whose fine position lies in [lo, hi - 1]."""
+    scaled = (n // 2) * m + (np.arange(m) - m // 2) * n  # fine position times m
+    return (scaled >= lo * m) & (scaled <= (hi - 1) * m)
 
 
 @dataclass(frozen=True)
@@ -76,6 +109,15 @@ class Interferogram:
 
     def with_carrier_sign_flipped(self) -> "Interferogram":
         return replace(self, carrier=(-self.carrier[0], -self.carrier[1]))
+
+    @cached_property
+    def half_spectrum(self) -> np.ndarray:
+        """rfft2 of the intensity: the bins kx >= 0, shape (ny, nx//2 + 1).
+
+        The intensity is real, so this half holds the whole spectrum
+        (F(-k) = conj(F(k))); carrier detection and demodulation share it.
+        """
+        return np.fft.rfft2(self.intensity)
 
 
 @dataclass(frozen=True)
@@ -156,18 +198,18 @@ def detect_carrier(gram: Interferogram, sign_hint: int = 1) -> tuple[float, floa
     carrier (the sign of the angle between the beams is the one thing the
     pattern itself cannot tell).
     """
-    intensity = gram.intensity
-    ny, nx = intensity.shape
-    spectrum = np.abs(np.fft.fft2(intensity - intensity.mean()))
-    bxg, byg = _bin_mesh(ny, nx)
+    ny, nx = gram.intensity.shape
+    spectrum = np.abs(gram.half_spectrum)
+    by = _fft_order(ny)[:, None]  # signed bins; columns are bx = 0 .. nx//2
+    bx = np.arange(nx // 2 + 1)[None, :]
+    r2_bins = bx**2 + by**2
 
     # The baseband envelope lobe can out-shine the carrier well past DC, so
     # exclude it adaptively: walk the radial max-profile of the spectrum out
     # to where it has decayed for good, then place the carrier at the power
     # centroid of the remaining half-plane (the sideband of a fork pattern
     # is a plateau or donut around the carrier, which defeats simple argmax).
-    rr_bins = np.hypot(bxg, byg)
-    r_idx = np.minimum(np.round(rr_bins).astype(int), min(nx, ny) // 2)
+    r_idx = np.minimum(np.round(np.sqrt(r2_bins)).astype(int), min(nx, ny) // 2)
     profile = np.zeros(min(nx, ny) // 2 + 1)
     np.maximum.at(profile, r_idx.ravel(), spectrum.ravel())
     ref = float(np.max(profile[1:4]))
@@ -181,54 +223,73 @@ def detect_carrier(gram: Interferogram, sign_hint: int = 1) -> tuple[float, floa
             break
     if r_dc is None:
         return None
-    band = (rr_bins >= r_dc) & ((bxg > 0) | ((bxg == 0) & (byg > 0)))
-    if not np.any(band):
+    # the open half-plane of the full spectrum: bx in (0, nx/2), or bx = 0
+    # with by > 0 (the column bx = nx/2 of an even frame is its own mirror)
+    band = (r2_bins >= r_dc**2) & (((bx > 0) & (2 * bx < nx)) | ((bx == 0) & (by > 0)))
+    rows, cols = np.nonzero(band)
+    if rows.size == 0:
         return None
-    peak_val = float(np.max(spectrum[band]))
-    noise_floor = float(np.median(spectrum[band]))
+    values = spectrum[rows, cols]
+    peak_val = float(np.max(values))
+    noise_floor = float(np.median(values))
     if peak_val <= 0 or (noise_floor > 0 and peak_val < 10.0 * noise_floor):
         return None
-    weight = np.where(band, spectrum**2, 0.0)
-    total = float(np.sum(weight))
-    fx = float(np.sum(bxg * weight) / total) / (nx * gram.spec.dx)
-    fy = float(np.sum(byg * weight) / total) / (ny * gram.spec.dy)
+    power = values**2
+    total = float(np.sum(power))
+    fx = float(np.sum(cols * power) / total) / (nx * gram.spec.dx)
+    fy = float(np.sum(by[rows, 0] * power) / total) / (ny * gram.spec.dy)
     if sign_hint < 0:
         fx, fy = -fx, -fy
     return (fx * gram.wavelength, fy * gram.wavelength)
 
 
 def _demodulate(gram: Interferogram, carrier: tuple[float, float]):
-    """Isolate the +carrier sideband; return (D, I_lowpass).
+    """Isolate the +carrier sideband on a decimated grid; return (D, I_lowpass, spec).
 
-    D is the complex interference term with the carrier ramp removed
-    (conj(V)*R for a synthesized pattern); I_lowpass is the baseband
-    |V|^2+|R|^2 filtered with the same window radius. Raises AliasingError
-    for a carrier at or beyond the Nyquist angle.
+    Fourier-transform fringe analysis with spectral cropping (Takeda, Ina &
+    Kobayashi, JOSA 72, 156, 1982). The sideband is band-limited to
+    r_mask = |carrier|/2 bins around the carrier, so only an M x M patch of
+    the half spectrum is kept around the carrier and another around DC, with
+    M = min(n, next power of two >= 4*r_mask) per axis. Each patch gets the
+    raised-cosine window of radius r_mask and an M-point inverse FFT; bins
+    at negative kx are read as the conjugate of their mirror. D is the
+    complex interference term with the carrier ramp removed (conj(V)*R for
+    a synthesized pattern); I_lowpass is the baseband |V|^2+|R|^2 filtered
+    with the same window radius. Both equal the full-frame results, to
+    rounding, at the samples of the returned coarse GridSpec (pitch dx*nx/M,
+    same field of view and axis; where M does not divide n, the full-frame
+    Fourier series between fine samples). Raises AliasingError for a carrier
+    at or beyond the Nyquist angle.
     """
     spec = gram.spec
     _check_carrier(carrier, gram.wavelength, spec)
-    fx_c = carrier[0] / gram.wavelength
-    fy_c = carrier[1] / gram.wavelength
-    cbx = fx_c * spec.nx * spec.dx
-    cby = fy_c * spec.ny * spec.dy
+    cbx = carrier[0] / gram.wavelength * spec.nx * spec.dx
+    cby = carrier[1] / gram.wavelength * spec.ny * spec.dy
     c_mag = math.hypot(cbx, cby)
     if c_mag < 3.0:
         raise ValueError("carrier too close to DC to demodulate")
     r_mask = 0.5 * c_mag
+    crop = 1 << math.ceil(math.log2(4.0 * r_mask))
+    mx, my = min(spec.nx, crop), min(spec.ny, crop)
+    coarse = GridSpec(nx=mx, ny=my, dx=spec.dx * spec.nx / mx, dy=spec.dy * spec.ny / my)
+    half = gram.half_spectrum
 
-    F = np.fft.fft2(gram.intensity)
-    bxg, byg = _bin_mesh(spec.ny, spec.nx)
-
-    def _window(cx, cy):
-        dist = np.hypot(bxg - cx, byg - cy)
+    def _band(cx, cy):
+        bx, sx, rx = _crop_axis(spec.nx, mx, cx)
+        by, sy, ry = _crop_axis(spec.ny, my, cy)
+        dist = np.hypot(bx[None, :] - cx, by[:, None] - cy)
         w = 0.5 * (1.0 + np.cos(np.pi * np.minimum(dist / r_mask, 1.0)))
-        return np.where(dist <= r_mask, w, 0.0)
+        w = np.where(dist <= r_mask, w, 0.0)
+        cols = np.abs(bx)
+        patch = np.where(
+            bx[None, :] >= 0,
+            half[np.ix_(by % spec.ny, cols)],
+            np.conj(half[np.ix_(-by % spec.ny, cols)]),
+        )
+        side = np.fft.ifft2(patch * w * (sy[:, None] * sx[None, :]))
+        return side * (ry[:, None] * rx[None, :])
 
-    side = np.fft.ifft2(F * _window(cbx, cby))
-    xx, yy = spec.meshes()
-    D = side * np.exp(-1j * TWO_PI * (fx_c * xx + fy_c * yy))
-    i_lp = np.fft.ifft2(F * _window(0.0, 0.0)).real
-    return D, i_lp
+    return _band(cbx, cby), _band(0.0, 0.0).real, coarse
 
 
 def _winding_on_circle(
@@ -336,6 +397,11 @@ def extract_charge(
     detection. Returns ell=0 with zero confidence when no carrier or no
     fringe signal is present; an ambiguous circulation (further than 0.25
     from an integer) is returned flagged with low confidence, not raised.
+
+    Everything after the demodulation runs on its coarse grid (see
+    _demodulate): core candidates, ring radius, windings and the visibility
+    band, at pitch dx*nx/M with M = min(n, next power of two >= 2*|carrier|
+    in bins), e.g. 64 x 64 samples for a 32-fringe carrier at 256 or 512.
     """
     if carrier is None:
         carrier = gram.carrier
@@ -345,12 +411,11 @@ def extract_charge(
             return ChargeReading(0, 0.0, "circulation")
         carrier = detected
 
-    D, i_lp = _demodulate(gram, carrier)
+    D, i_lp, spec = _demodulate(gram, carrier)
     env = np.abs(D)
     if float(env.max()) < 1.0e-9 * max(float(i_lp.max()), 1e-300):
         return ChargeReading(0, 0.0, "circulation")
 
-    spec = gram.spec
     pitch = max(spec.dx, spec.dy)
     r_hi = 0.45 * min(spec.extent_x, spec.extent_y) - 2.0 * pitch
 
@@ -389,16 +454,10 @@ def fork_fringe_count(
     """
     if carrier is None:
         carrier = gram.carrier
-    D, _ = _demodulate(gram, carrier)
+    D, _, spec = _demodulate(gram, carrier)
     env = np.abs(D)
-    spec = gram.spec
     core = _core_candidates(D, env, spec)[0]
     r_sig = _signal_ring_radius(env, spec, core)
-
-    fx_c = carrier[0] / gram.wavelength
-    fy_c = carrier[1] / gram.wavelength
-    xx, yy = spec.meshes()
-    fringe_term = D * np.exp(1j * TWO_PI * (fx_c * xx + fy_c * yy))
 
     iy_core = int(round(core[1] / spec.dy)) + spec.ny // 2
     ix_core = int(round(core[0] / spec.dx)) + spec.nx // 2
@@ -412,9 +471,10 @@ def fork_fringe_count(
     if x_hi - x_lo < 8:
         raise RegionError("fringe-count cuts would be shorter than 8 samples")
 
+    # the carrier adds the same phase along both equal cuts, so the fringe
+    # count difference is the winding difference of the demodulated field
     def _winding_along(row: int) -> float:
-        seg = fringe_term[row, x_lo:x_hi]
-        ph = np.unwrap(np.angle(seg))
+        ph = np.unwrap(np.angle(D[row, x_lo:x_hi]))
         return (ph[-1] - ph[0]) / TWO_PI
 
     ell_f = _winding_along(row_a) - _winding_along(row_b)
@@ -452,9 +512,17 @@ def fringe_visibility(
         raise RegionError(
             f"region spans {crossings:.2f} fringe periods; need at least 3"
         )
-    D, i_lp = _demodulate(gram, carrier)
-    env = np.abs(D[y0:y1, x0:x1])
-    base = i_lp[y0:y1, x0:x1]
+    D, i_lp, coarse = _demodulate(gram, carrier)
+    inside = np.ix_(
+        _coarse_samples_in(y0, y1, spec.ny, coarse.ny),
+        _coarse_samples_in(x0, x1, spec.nx, coarse.nx),
+    )
+    env = np.abs(D[inside])
+    if env.size == 0:
+        raise RegionError(
+            f"region {region} holds no sample of the {coarse.ny}x{coarse.nx} demodulated grid"
+        )
+    base = i_lp[inside]
     good = base > 1e-12 * float(np.max(i_lp))
     if not np.any(good):
         return 0.0

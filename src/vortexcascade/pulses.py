@@ -129,7 +129,11 @@ def synthesize_waveform(
         )
     amps = np.array([c.amplitude for c in comb]) * np.exp(1j * phases)
     t = grid.times
-    field = (amps[:, None] * np.exp(-1j * omegas[:, None] * t[None, :])).sum(axis=0)
+    # one channel at a time, in channel order: the same additions as summing
+    # the channels x samples matrix over its rows, without holding it
+    field = amps[0] * np.exp(-1j * omegas[0] * t)
+    for amp, omega in zip(amps[1:], omegas[1:]):
+        field += amp * np.exp(-1j * omega * t)
     return np.abs(field) ** 2
 
 

@@ -24,6 +24,7 @@ from vortexcascade import (
     synthesize_interferogram,
 )
 from vortexcascade.errors import AliasingError, GridMismatchError, RegionError
+from vortexcascade.interferometry import _demodulate, detect_carrier
 from vortexcascade.units import omega_from_wavenumber_cm
 
 WL = 800e-9
@@ -194,6 +195,145 @@ class TestExtractCharge:
         assert extract_charge(gram).confidence < 0.5
 
 
+def full_frame_demodulate(gram, carrier, rows, cols):
+    """The full-frame demodulation the cropped one replaced, at fine positions.
+
+    FFT of the whole frame, raised-cosine windows of radius |carrier|/2
+    around the carrier and DC, carrier removed on the fine coordinates. The
+    inverse transform is summed as a Fourier series at the given (possibly
+    fractional) row and column positions; at integer positions it is ifft2.
+    """
+    spec = gram.spec
+    fx_c = carrier[0] / gram.wavelength
+    fy_c = carrier[1] / gram.wavelength
+    cbx = fx_c * spec.nx * spec.dx
+    cby = fy_c * spec.ny * spec.dy
+    r_mask = 0.5 * math.hypot(cbx, cby)
+    F = np.fft.fft2(gram.intensity)
+    bx = np.fft.fftfreq(spec.nx) * spec.nx
+    by = np.fft.fftfreq(spec.ny) * spec.ny
+    bxg, byg = np.meshgrid(bx, by)
+
+    def window(cx, cy):
+        dist = np.hypot(bxg - cx, byg - cy)
+        w = 0.5 * (1.0 + np.cos(np.pi * np.minimum(dist / r_mask, 1.0)))
+        return np.where(dist <= r_mask, w, 0.0)
+
+    ey = np.exp(2j * np.pi * np.outer(rows, by) / spec.ny)
+    ex = np.exp(2j * np.pi * np.outer(cols, bx) / spec.nx)
+
+    def inverse(spectrum):
+        return ey @ spectrum @ ex.T / (spec.nx * spec.ny)
+
+    xx, yy = np.meshgrid((cols - spec.nx // 2) * spec.dx, (rows - spec.ny // 2) * spec.dy)
+    D = inverse(F * window(cbx, cby)) * np.exp(-2j * np.pi * (fx_c * xx + fy_c * yy))
+    i_lp = inverse(F * window(0.0, 0.0)).real
+    return D, i_lp
+
+
+def full_spectrum_detect_carrier(gram, sign_hint=1):
+    """Carrier detection as it was on the full fft2 of the mean-free frame."""
+    intensity = gram.intensity
+    ny, nx = intensity.shape
+    spectrum = np.abs(np.fft.fft2(intensity - intensity.mean()))
+    bxg, byg = np.meshgrid(np.fft.fftfreq(nx) * nx, np.fft.fftfreq(ny) * ny)
+    rr_bins = np.hypot(bxg, byg)
+    r_idx = np.minimum(np.round(rr_bins).astype(int), min(nx, ny) // 2)
+    profile = np.zeros(min(nx, ny) // 2 + 1)
+    np.maximum.at(profile, r_idx.ravel(), spectrum.ravel())
+    ref = float(np.max(profile[1:4]))
+    if ref <= 0:
+        return None
+    quiet = profile < 0.05 * ref
+    r_dc = None
+    for r in range(2, quiet.size - 2):
+        if quiet[r] and quiet[r + 1] and quiet[r + 2]:
+            r_dc = r
+            break
+    if r_dc is None:
+        return None
+    band = (rr_bins >= r_dc) & ((bxg > 0) | ((bxg == 0) & (byg > 0)))
+    if not np.any(band):
+        return None
+    peak_val = float(np.max(spectrum[band]))
+    noise_floor = float(np.median(spectrum[band]))
+    if peak_val <= 0 or (noise_floor > 0 and peak_val < 10.0 * noise_floor):
+        return None
+    weight = np.where(band, spectrum**2, 0.0)
+    total = float(np.sum(weight))
+    fx = float(np.sum(bxg * weight) / total) / (nx * gram.spec.dx)
+    fy = float(np.sum(byg * weight) / total) / (ny * gram.spec.dy)
+    if sign_hint < 0:
+        fx, fy = -fx, -fy
+    return (fx * gram.wavelength, fy * gram.wavelength)
+
+
+class TestDemodulate:
+    @pytest.mark.parametrize(
+        "ny, nx, bins, m",
+        [
+            (64, 64, (8.0, 0.0), (16, 16)),
+            (64, 64, (-8.0, 0.0), (16, 16)),
+            (64, 64, (7.3, 2.6), (16, 16)),  # fractional-bin carrier
+            (64, 64, (-7.3, -2.6), (16, 16)),
+            (64, 128, (16.4, -3.0), (64, 64)),  # non-square
+            (128, 64, (5.0, 9.2), (32, 32)),
+            (256, 256, (32.0, 0.0), (64, 64)),
+            (512, 512, (-32.0, 0.0), (64, 64)),
+            (45, 45, (8.0, 0.0), (16, 16)),  # odd: coarse samples between fine ones
+            (33, 45, (-6.5, 2.2), (16, 16)),
+            (25, 25, (10.0, 0.0), (25, 25)),  # odd, crop = whole frame
+            (32, 32, (-12.0, 3.0), (32, 32)),  # crop = whole frame
+        ],
+    )
+    def test_matches_full_frame_at_coarse_samples(self, ny, nx, bins, m):
+        # oracle: the cropped D and I_lowpass are the full-frame ones sampled
+        # at the coarse grid's positions, to rounding
+        rng = np.random.default_rng(nx * 1000 + ny)
+        spec = GridSpec(nx=nx, ny=ny, dx=20e-6, dy=30e-6)
+        gram = Interferogram(spec, 1.0 + rng.random((ny, nx)), (0.0, 0.0), WL)
+        carrier = (bins[0] * WL / spec.extent_x, bins[1] * WL / spec.extent_y)
+        D, i_lp, coarse = _demodulate(gram, carrier)
+        assert (coarse.ny, coarse.nx) == m
+        assert coarse.dx == pytest.approx(spec.dx * nx / m[1], rel=1e-15)
+        assert coarse.dy == pytest.approx(spec.dy * ny / m[0], rel=1e-15)
+        rows = coarse.y / spec.dy + ny // 2
+        cols = coarse.x / spec.dx + nx // 2
+        D_ref, i_ref = full_frame_demodulate(gram, carrier, rows, cols)
+        assert np.max(np.abs(D - D_ref)) <= 1e-12 * np.max(np.abs(D_ref))
+        assert np.max(np.abs(i_lp - i_ref)) <= 1e-12 * np.max(np.abs(i_ref))
+
+    def test_carrier_detection_matches_full_spectrum(self):
+        # oracle: the old search over the full fft2; the half spectrum holds
+        # the same bins, so only the rounding of the transform and of the
+        # centroid sums may differ
+        rng = np.random.default_rng(8)
+        checked = 0
+        for n, w0 in ((256, 0.8e-3), (512, 1.6e-3)):
+            spec = GridSpec.square(n, PITCH)
+            beam = BeamParams(waist_w0=w0, wavelength=WL)
+            reference = gaussian_field(beam, spec)
+            for ell in (-4, 0, 3):
+                vortex = lg_mode_field(LGModeIndex(0, ell), beam, spec)
+                for sign in (1, -1):
+                    tilt = sign * 32 * WL / (n * PITCH)
+                    clean = synthesize_interferogram(vortex, reference, tilt)
+                    for noise in (0.0, 0.05):
+                        gram = add_intensity_noise(clean, noise, rng)
+                        bare = Interferogram(spec, gram.intensity, (0.0, 0.0), WL)
+                        for hint in (1, -1):
+                            got = detect_carrier(bare, hint)
+                            expect = full_spectrum_detect_carrier(bare, hint)
+                            scale = math.hypot(*expect)
+                            assert got[0] == pytest.approx(expect[0], rel=0, abs=1e-12 * scale)
+                            assert got[1] == pytest.approx(expect[1], rel=0, abs=1e-12 * scale)
+                            checked += 1
+        assert checked == 48
+        flat = Interferogram(GridSpec.square(128, 1.0), np.full((128, 128), 0.5), (0.0, 0.0), 1.0)
+        assert detect_carrier(flat) is None
+        assert full_spectrum_detect_carrier(flat) is None
+
+
 class TestForkFringeCount:
     def test_matches_circulation_for_small_charges(self):
         for ell in (-2, -1, 1, 2):
@@ -227,6 +367,15 @@ class TestFringeVisibility:
         gram = synthesize_interferogram(plane_field(spec), plane_field(spec), TILT)
         with pytest.raises(RegionError):
             fringe_visibility(gram, region=((0, 4), (0, 4)))
+
+    def test_region_between_coarse_samples_rejected(self):
+        # the 32-fringe carrier is demodulated on a 64x64 grid, one sample
+        # every 4 rows: a one-row region at row 101 holds none of them
+        spec = GridSpec.square(N, PITCH)
+        gram = synthesize_interferogram(plane_field(spec), plane_field(spec), TILT)
+        assert fringe_visibility(gram, region=((100, 101), (0, N))) == pytest.approx(1.0)
+        with pytest.raises(RegionError):
+            fringe_visibility(gram, region=((101, 102), (0, N)))
 
 
 def panel_config(ell_p, ell_s, max_as=2, max_s=2):

@@ -1,6 +1,7 @@
 """Chirped-pulse beating and comb waveform synthesis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from vortexcascade import (
     synthesize_waveform,
     train_period,
 )
-from vortexcascade.cascade import CombChannel, SpectralComb, sideband_charge, sideband_frequency
+from vortexcascade.cascade import (
+    CombChannel,
+    SpectralComb,
+    build_comb,
+    sideband_charge,
+    sideband_frequency,
+)
 from vortexcascade.errors import AliasingError, NonPeriodicError
 from vortexcascade.pulses import delay_for_beat
 from vortexcascade.units import omega_from_wavenumber_cm
@@ -39,14 +46,18 @@ def pair_grid(pair, nt=16384, dt=0.5e-15):
     return TimeGrid(nt, dt, t_start=-(nt // 2) * dt + pair.t_d / 2.0)
 
 
-def five_channel_comb():
-    cfg = RamanConfig(
+def raman_320_config():
+    return RamanConfig(
         omega_p=omega_from_wavenumber_cm(12500.0),
         omega_s=omega_from_wavenumber_cm(12500.0 - RAMAN_CM),
         ell_p=1,
         ell_s=1,
         omega_raman=OMEGA_R,
     )
+
+
+def five_channel_comb():
+    cfg = raman_320_config()
     channels = tuple(
         CombChannel(
             label=SidebandLabel.from_ladder_index(k),
@@ -193,6 +204,31 @@ class TestSynthesizeWaveform:
         comb = five_channel_comb()
         with pytest.raises(AliasingError):
             synthesize_waveform(comb, TimeGrid(4096, 2.0e-15))
+
+    def test_equals_channel_matrix_sum(self):
+        # oracle: the channels x samples matrix, summed over its rows
+        comb = build_comb(raman_320_config())
+        grid = TimeGrid(4096, 0.4e-15)
+        phases = np.linspace(0.3, 2.1, len(comb))
+        omegas = np.array([c.omega for c in comb])
+        amps = np.array([c.amplitude for c in comb]) * np.exp(1j * phases)
+        t = grid.times
+        matrix = amps[:, None] * np.exp(-1j * omegas[:, None] * t[None, :])
+        expect = np.abs(matrix.sum(axis=0)) ** 2
+        assert np.array_equal(synthesize_waveform(comb, grid, phases), expect)
+
+    def test_memory_does_not_grow_with_channel_count(self):
+        # 41 channels x 2**18 samples: that matrix alone would take 172 MB
+        cfg = raman_320_config()
+        comb = build_comb(cfg, ks=range(-20, 21))
+        grid = TimeGrid(2**18, 0.4e-15)
+        tracemalloc.start()
+        try:
+            synthesize_waveform(comb, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"peak {peak / 1e6:.0f} MB"
 
     def test_phase_count_validated(self):
         comb = five_channel_comb()
