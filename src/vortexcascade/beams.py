@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
-from scipy.special import gammaln, genlaguerre
 
 from .errors import AliasingError, AmbiguousCirculationError, ResolutionError
 from .grids import ComplexFieldGrid, GridSpec
@@ -54,6 +52,18 @@ class BeamParams:
         return math.pi * self.waist_w0**2 / self.wavelength
 
 
+def _laguerre(p: int, a: int, x: np.ndarray) -> np.ndarray:
+    """Generalized Laguerre polynomial L_p^a(x), by the three-term recurrence
+    (k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1}, L_0 = 1, L_1 = 1+a-x."""
+    prev = np.ones_like(x)
+    if p == 0:
+        return prev
+    cur = 1.0 + a - x
+    for k in range(1, p):
+        prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
+    return cur
+
+
 def lg_mode_field(
     index: LGModeIndex,
     beam: BeamParams,
@@ -83,9 +93,9 @@ def lg_mode_field(
 
     # sqrt(2 p! / (pi (p+|ell|)!)) via log-gamma for numerical stability
     norm = math.sqrt(2.0 / math.pi) * math.exp(
-        0.5 * (gammaln(p + 1) - gammaln(p + a + 1))
+        0.5 * (math.lgamma(p + 1) - math.lgamma(p + a + 1))
     )
-    amp = (norm / wz) * rho**a * genlaguerre(p, a)(rho**2) * np.exp(-r2 / wz**2)
+    amp = (norm / wz) * rho**a * _laguerre(p, a, rho**2) * np.exp(-r2 / wz**2)
 
     phase = ell * np.arctan2(yy, xx)
     if z != 0.0:
@@ -318,16 +328,25 @@ def sample_on_circle(
     center_xy: tuple[float, float] = (0.0, 0.0),
     angle0: float = 0.0,
 ) -> np.ndarray:
-    """Bilinear samples of a grid's values on a circle around center_xy (meters)."""
+    """Bilinear samples of a grid's values on a circle around center_xy (meters).
+
+    Points off the grid take the value at the nearest grid coordinate: the
+    sample coordinates are clamped to [0, n - 1] on each axis.
+    """
     ang = angle0 + 2.0 * math.pi * np.arange(n_samples) / n_samples
     px = center_xy[0] + radius * np.cos(ang)
     py = center_xy[1] + radius * np.sin(ang)
-    col = px / spec.dx + spec.nx // 2
-    row = py / spec.dy + spec.ny // 2
-    coords = np.vstack([row, col])
-    re = map_coordinates(values.real, coords, order=1, mode="nearest")
-    im = map_coordinates(values.imag, coords, order=1, mode="nearest")
-    return re + 1j * im
+    col = np.clip(px / spec.dx + spec.nx // 2, 0, spec.nx - 1)
+    row = np.clip(py / spec.dy + spec.ny // 2, 0, spec.ny - 1)
+    # the cell's lower corner; at the last coordinate the cell below is used
+    # with weight 1 on its upper corner, so no index leaves the grid
+    c0 = np.minimum(col.astype(np.intp), spec.nx - 2)
+    r0 = np.minimum(row.astype(np.intp), spec.ny - 2)
+    tc = col - c0
+    tr = row - r0
+    top = (1.0 - tc) * values[r0, c0] + tc * values[r0, c0 + 1]
+    bottom = (1.0 - tc) * values[r0 + 1, c0] + tc * values[r0 + 1, c0 + 1]
+    return (1.0 - tr) * top + tr * bottom
 
 
 def phase_circulation(field: ComplexFieldGrid, radius: float, n_samples: int = 1024) -> float:

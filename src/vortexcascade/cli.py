@@ -80,7 +80,7 @@ def cmd_figure3(cfg: RunConfig, outdir: Path) -> int:
         if res.ok:
             any_ok = True
             write_pgm16(outdir / f"beam_{res.label}.pgm", res.beam_intensity)
-            write_pgm16(outdir / f"fork_{res.label}.pgm", res.interferogram.intensity)
+            write_pgm16(outdir / f"fork_{res.label}.pgm", res.fork_intensity)
             rows.append(
                 [
                     str(res.label),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .beams import BeamParams, LGModeIndex, lg_mode_field, loop_sample_count, sample_on_circle
 from .cascade import RamanConfig, SidebandLabel, observed_sideband
@@ -301,6 +301,26 @@ def _winding_on_circle(
     return float(np.sum(d) / TWO_PI)
 
 
+def _gaussian_filter(a: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian smoothing with mirror-reflected edges.
+
+    The kernel exp(-t^2/(2 sigma^2)) is normalised over |t| <= int(4 sigma + 0.5)
+    and applied along each axis in turn to the array padded with its mirror
+    image, edge sample included (d c b a | a b c d | d c b a).
+    """
+    radius = int(4.0 * sigma + 0.5)
+    t = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * t**2)
+    kernel /= kernel.sum()
+    out = a
+    for axis in range(a.ndim):
+        widths = [(0, 0)] * a.ndim
+        widths[axis] = (radius, radius)
+        padded = np.pad(out, widths, mode="symmetric")
+        out = sliding_window_view(padded, 2 * radius + 1, axis=axis) @ kernel
+    return out
+
+
 def _plaquette_winding(phase: np.ndarray) -> np.ndarray:
     """Wrapped phase circulation around each 2x2 cell, in radians."""
     dx = _wrap(phase[:, 1:] - phase[:, :-1])
@@ -321,7 +341,7 @@ def _core_candidates(
     and the charge-0 case where no true singular cell exists.
     """
     sigma_big = max(3.0, min(spec.nx, spec.ny) / 64.0)
-    local = gaussian_filter(env, sigma=sigma_big)
+    local = _gaussian_filter(env, sigma_big)
     xx, yy = spec.meshes()
     rr = np.hypot(xx, yy)
     central = rr <= 0.35 * min(spec.extent_x, spec.extent_y)
@@ -357,7 +377,7 @@ def _core_candidates(
             (float(np.sum(xx * w2) / total), float(np.sum(yy * w2) / total))
         )
 
-    sm = gaussian_filter(env, sigma=1.0)
+    sm = _gaussian_filter(env, 1.0)
     search = central & (local >= 0.1 * float(local.max()))
     if not np.any(search):
         search = central
@@ -559,7 +579,7 @@ class OrderResult:
     status: str
     reading: ChargeReading | None = None
     beam_intensity: np.ndarray | None = None
-    interferogram: Interferogram | None = None
+    fork_intensity: np.ndarray | None = None
 
     @property
     def ok(self) -> bool:
@@ -606,7 +626,7 @@ def analyze_order_panel(
                     status="ok",
                     reading=reading,
                     beam_intensity=vortex.intensity(),
-                    interferogram=gram,
+                    fork_intensity=gram.intensity,
                 )
             )
         except (VortexCascadeError, ValueError) as exc:

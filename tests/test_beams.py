@@ -19,7 +19,7 @@ from vortexcascade import (
     propagate,
     ring_radius,
 )
-from vortexcascade.beams import mode_powers_by_ell, phase_circulation
+from vortexcascade.beams import _laguerre, mode_powers_by_ell, phase_circulation, sample_on_circle
 from vortexcascade.errors import (
     AliasingError,
     AmbiguousCirculationError,
@@ -80,6 +80,28 @@ class TestLGModeField:
         analytic = lg_mode_field(LGModeIndex(1, 2), beam, spec, z=z)
         numeric = propagate(lg_mode_field(LGModeIndex(1, 2), beam, spec), z)
         assert abs(inner_product(analytic, numeric)) == pytest.approx(1.0, abs=1e-6)
+
+    def test_laguerre_matches_explicit_sum(self):
+        # oracle: L_p^a(x) = sum_m (-1)^m C(p+a, p-m) x^m / m!
+        x = np.linspace(0.0, 30.0, 301)
+        for p in range(5):
+            for a in range(12):
+                expect = sum(
+                    (-1) ** m * math.comb(p + a, p - m) * x**m / math.factorial(m)
+                    for m in range(p + 1)
+                )
+                got = _laguerre(p, a, x)
+                assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect)), (p, a)
+
+    def test_laguerre_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.linspace(0.0, 30.0, 301)
+        for p in range(5):
+            for ell in range(-11, 12):
+                a = abs(ell)
+                expect = special.genlaguerre(p, a)(x)
+                got = _laguerre(p, a, x)
+                assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect)), (p, ell)
 
 
 class TestRingRadius:
@@ -303,6 +325,30 @@ class TestFarField:
             assert (ff.spec.dx, ff.spec.dy) == pitch, case
             rel = np.max(np.abs(ff.values - expect)) / np.max(np.abs(expect))
             assert rel <= 1e-12, case
+
+
+class TestSampleOnCircle:
+    def test_matches_scipy_map_coordinates(self):
+        # oracle: the two-pass scipy call sample_on_circle used to make
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(5)
+        n = 331
+        for spec in (GridSpec(nx=16, ny=16, dx=1.0, dy=1.0), GridSpec(nx=13, ny=9, dx=0.5, dy=2.0)):
+            values = rng.standard_normal((spec.ny, spec.nx)) + 1j * rng.standard_normal(
+                (spec.ny, spec.nx)
+            )
+            # inside the grid, across its edges, and wholly outside it
+            for radius, center in ((2.0, (0.0, 0.0)), (3.3, (1.2, -0.7)), (7.5, (0.0, 0.0)),
+                                   (4.0, (-5.0, 6.0)), (30.0, (0.0, 0.0)), (2.0, (40.0, -40.0))):
+                got = sample_on_circle(values, spec, radius, n, center, angle0=0.3)
+                ang = 0.3 + 2.0 * math.pi * np.arange(n) / n
+                col = (center[0] + radius * np.cos(ang)) / spec.dx + spec.nx // 2
+                row = (center[1] + radius * np.sin(ang)) / spec.dy + spec.ny // 2
+                coords = np.vstack([row, col])
+                expect = ndimage.map_coordinates(
+                    values.real, coords, order=1, mode="nearest"
+                ) + 1j * ndimage.map_coordinates(values.imag, coords, order=1, mode="nearest")
+                assert np.max(np.abs(got - expect)) <= 1e-14, (spec, radius, center)
 
 
 class TestChargeCirculation:

@@ -1,11 +1,15 @@
 """Configuration parsing, CLI subcommands, and file formats."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vortexcascade
 from vortexcascade.cli import main
 from vortexcascade.config import RunConfig, load_config, parse_config_text
 from vortexcascade.errors import ConfigError
@@ -322,3 +326,22 @@ class TestAnalyzeCommand:
         rows = read_csv(tmp_path / "analysis.csv")
         assert rows[0]["image"] == "fork_P.pgm"
         assert rows[0]["ell"] == "1"
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        # every CLI process pays for its imports; the package runs on numpy alone
+        src = str(Path(vortexcascade.__file__).resolve().parents[1])
+        code = (
+            "import vortexcascade.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"

@@ -24,7 +24,7 @@ from vortexcascade import (
     synthesize_interferogram,
 )
 from vortexcascade.errors import AliasingError, GridMismatchError, RegionError
-from vortexcascade.interferometry import _demodulate, detect_carrier
+from vortexcascade.interferometry import _demodulate, _gaussian_filter, detect_carrier
 from vortexcascade.units import omega_from_wavenumber_cm
 
 WL = 800e-9
@@ -334,6 +334,18 @@ class TestDemodulate:
         assert full_spectrum_detect_carrier(flat) is None
 
 
+class TestGaussianFilter:
+    @pytest.mark.parametrize("shape", [(5, 9), (8, 8), (8, 11), (64, 64)])
+    @pytest.mark.parametrize("sigma", [1.0, 3.0, 8.0])
+    def test_matches_scipy(self, shape, sigma):
+        # oracle: scipy's gaussian_filter (reflect edges, truncate 4), which
+        # _core_candidates used to call; sigma 3 and 8 pad beyond the frame
+        ndimage = pytest.importorskip("scipy.ndimage")
+        a = np.random.default_rng(shape[0] * 100 + shape[1]).random(shape)
+        expect = ndimage.gaussian_filter(a, sigma=sigma)
+        assert np.max(np.abs(_gaussian_filter(a, sigma) - expect)) <= 1e-14
+
+
 class TestForkFringeCount:
     def test_matches_circulation_for_small_charges(self):
         for ell in (-2, -1, 1, 2):
@@ -428,4 +440,7 @@ class TestOrderPanel:
         assert [r.label for r in results] == ORDERS
         for r in results:
             assert r.beam_intensity.shape == (256, 256)
-            assert isinstance(r.interferogram, Interferogram)
+            assert isinstance(r.fork_intensity, np.ndarray)
+            assert r.fork_intensity.shape == (256, 256)
+            assert np.all(np.isfinite(r.fork_intensity))
+            assert np.all(r.fork_intensity >= 0)
