@@ -261,7 +261,8 @@ def far_field(
     if f <= 0:
         raise ValueError(f"focal length must be positive, got {f}")
     wx = _centered_dft_matrix(spec.nx, npx)
-    wy = _centered_dft_matrix(spec.ny, npy)
+    # a square grid needs one matrix; no cache, which would hold it between calls
+    wy = wx if (spec.ny, npy) == (spec.nx, npx) else _centered_dft_matrix(spec.ny, npy)
     # scaled in place, like the index reduction in _centered_dft_matrix: one
     # frame-sized temporary fewer per call fragments the heap less over
     # repeated calls (peak RSS of a figure3 + pulse loop ~15 MB lower)

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import vortexcascade
+from vortexcascade import cli
 from vortexcascade.cli import main
 from vortexcascade.config import RunConfig, load_config, parse_config_text
 from vortexcascade.errors import ConfigError
@@ -277,6 +280,102 @@ class TestPulseCommand:
 
     def test_needs_delay_or_match(self, tmp_path):
         assert main(["pulse", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("setting", ["match=true", "t_d_fs=0"])
+    def test_csvs_equal_per_float_formatting(self, tmp_path, monkeypatch, setting):
+        # the per-row f-strings the vectorized formatter replaced are the oracle
+        written = []
+        original = cli._float_csv_bytes
+
+        def recording(header, *columns):
+            written.append((header, columns))
+            return original(header, *columns)
+
+        monkeypatch.setattr(cli, "_float_csv_bytes", recording)
+        assert main(["pulse", "--out", str(tmp_path), "--set", setting]) == 0
+        assert len(written) == 2
+        for name, (header, (times, values)) in zip(["beat.csv", "waveform.csv"], written):
+            rows = [[f"{t:.9e}", f"{v:.9e}"] for t, v in zip(times, values)]
+            lines = [",".join(header)] + [",".join(row) for row in rows]
+            expected = ("\n".join(lines) + "\n").encode("ascii")
+            assert (tmp_path / name).read_bytes() == expected, name
+
+    def test_deterministic_byte_identical_outputs(self, tmp_path):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out in (out_a, out_b):
+            assert main(["pulse", "--out", str(out), "--set", "match=true"]) == 0
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names == sorted(p.name for p in out_b.iterdir()) == ["beat.csv", "waveform.csv"]
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def e9_oracle(header, *columns):
+    rows = zip(*columns)
+    text = "".join(",".join(f"{v:.9e}" for v in row) + "\n" for row in rows)
+    return (",".join(header) + "\n" + text).encode("ascii")
+
+
+def float_arrays(n):
+    # every float64: nan, +-inf, subnormals and both zeros included
+    elements = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    return hnp.arrays(np.float64, n, elements=elements)
+
+
+POWERS_OF_TEN = 10.0 ** np.arange(-323, 309)
+
+
+class TestFloatCsvFormat:
+    """`_float_csv_bytes` against Python's own %.9e, byte for byte."""
+
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(float_arrays(n), float_arrays(n))))
+    def test_any_float64_matches_format(self, columns):
+        a, b = columns
+        got = cli._float_csv_bytes(["a", "b"], a, b)
+        text = "\n".join(f"{x:.9e},{y:.9e}" for x, y in zip(a, b))
+        assert got == ("a,b\n" + text + ("\n" if len(a) else "")).encode("ascii")
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            1234567890.5,  # exact binary ties at the 10th digit: round half to even
+            1234567891.5,
+            9999999999.5,  # ... and one that carries into the exponent
+            0.5,
+            1.0000000005,  # decimal near-ties, off .5 only in the binary value
+            9.9999999995e-100,
+            9.9999999995,
+            5e-324,  # smallest subnormal: 10^(9-e) alone would overflow
+            2.2250738585072014e-308,
+            1e308,
+            1.7976931348623157e308,
+            1e100,
+            1e-100,
+            0.0,
+            -0.0,
+            float("nan"),
+            float("inf"),
+        ],
+    )
+    def test_edge_values(self, value):
+        x = np.array([value, -value])
+        assert cli._float_csv_bytes(["x"], x) == e9_oracle(["x"], x)
+
+    def test_powers_of_ten_and_neighbours(self):
+        x = np.concatenate(
+            [
+                POWERS_OF_TEN,
+                np.nextafter(POWERS_OF_TEN, 0.0),
+                np.nextafter(POWERS_OF_TEN, np.inf),
+            ]
+        )
+        y = -x[::-1]
+        assert cli._float_csv_bytes(["x", "y"], x, y) == e9_oracle(["x", "y"], x, y)
+
+    def test_random_bit_patterns(self):
+        x = np.random.default_rng(5).integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+        y = x[::-1]
+        assert cli._float_csv_bytes(["x", "y"], x, y) == e9_oracle(["x", "y"], x, y)
 
 
 @pytest.fixture(scope="module")
