@@ -238,10 +238,13 @@ def far_field(
 
     Output pitch is lambda*f/(N_pad*pitch) per axis, with N_pad = oversample*N.
     The default focal length oversample*nx*dx^2/lambda makes the output pitch
-    equal the input pitch. oversample > 1 embeds the source in a larger empty
-    aperture, sampling the focal plane oversample times finer, and returns
-    the central N samples; power is conserved exactly only for oversample=1
-    (the crop discards whatever falls outside the frame).
+    equal the input pitch. It enters only as the product lambda*f =
+    oversample*nx*dx^2, so the default far field is the same array on the
+    same grid at every wavelength, to the last bit. oversample > 1 embeds the
+    source in a larger empty aperture, sampling the focal plane oversample
+    times finer, and returns the central N samples; power is conserved
+    exactly only for oversample=1 (the crop discards whatever falls outside
+    the frame).
 
     Only that central window is computed, by a separable matrix Fourier
     transform wy @ u @ wx.T (Soummer et al., Opt. Express 15, 15935, 2007):
@@ -257,9 +260,12 @@ def far_field(
         raise ValueError(f"oversample must be a positive integer, got {oversample}")
     oversample = int(oversample)
     npx, npy = oversample * spec.nx, oversample * spec.ny
-    f = focal_length if focal_length is not None else npx * spec.dx**2 / lam
-    if f <= 0:
-        raise ValueError(f"focal length must be positive, got {f}")
+    if focal_length is None:
+        lam_f = npx * spec.dx**2
+    elif focal_length > 0:
+        lam_f = lam * focal_length
+    else:
+        raise ValueError(f"focal length must be positive, got {focal_length}")
     wx = _centered_dft_matrix(spec.nx, npx)
     # a square grid needs one matrix; no cache, which would hold it between calls
     wy = wx if (spec.ny, npy) == (spec.nx, npx) else _centered_dft_matrix(spec.ny, npy)
@@ -267,12 +273,12 @@ def far_field(
     # frame-sized temporary fewer per call fragments the heap less over
     # repeated calls (peak RSS of a figure3 + pulse loop ~15 MB lower)
     transformed = wy @ field.values @ wx.T
-    transformed *= spec.cell_area / (lam * f)
+    transformed *= spec.cell_area / lam_f
     out_spec = GridSpec(
         nx=spec.nx,
         ny=spec.ny,
-        dx=lam * f / (npx * spec.dx),
-        dy=lam * f / (npy * spec.dy),
+        dx=lam_f / (npx * spec.dx),
+        dy=lam_f / (npy * spec.dy),
     )
     return ComplexFieldGrid(out_spec, lam, transformed)
 

@@ -274,9 +274,33 @@ def observed_sideband(
     product itself has an order-independent peak radius. far_field's default
     focal length makes the observation grid pitch equal the source pitch for
     every order, so cross-order images share one grid.
+
+    Mirrored orders share one field when the two seeds are the same array
+    (an LG mode at its waist does not depend on wavelength, so an ell = 0
+    reference set, or a vortex set with ell_p = ell_s): the source of order
+    k, p^a*conj(s)^b, is then that of order 1 - k, and the default far field
+    does not depend on the wavelength either. mirrored_sideband turns one
+    order's field into its partner's.
     """
     product = spatial_sideband(pump_field, stokes_field, label)
     return far_field(product, oversample=oversample)
+
+
+def mirrored_sideband(
+    partner: ComplexFieldGrid,
+    pump_field: ComplexFieldGrid,
+    stokes_field: ComplexFieldGrid,
+    label: SidebandLabel,
+) -> ComplexFieldGrid:
+    """observed_sideband of label, given that of its mirror order 1 - label.k.
+
+    Valid only when pump_field and stokes_field hold the same array and
+    partner came from observed_sideband with them: the field is partner's,
+    tagged with label's ladder wavelength (which raises, like
+    spatial_sideband, where the ladder ends before label).
+    """
+    omega = _ladder_frequency_from_fields(pump_field, stokes_field, label.k)
+    return ComplexFieldGrid(partner.spec, wavelength_from_omega(omega), partner.values)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .interferometry import (
 )
 from .pgmio import read_pgm16, write_pgm16
 from .pulses import (
-    TimeGrid,
     beat_frequency,
     chirped_pair_field,
     synthesize_waveform,
@@ -175,11 +174,7 @@ def cmd_pulse(cfg: RunConfig, outdir: Path) -> int:
     raman_period = 2.0 * np.pi / cfg.omega_raman
 
     pair = cfg.chirped_pair()
-    # grow the record until it spans both pulses with margin
-    nt, dt = cfg.nt, cfg.dt
-    while nt * dt < 1.2 * (4.0 * pair.tau + pair.t_d):
-        nt *= 2
-    beat_grid = TimeGrid(nt, dt, -(nt // 2) * dt + pair.t_d / 2.0)
+    beat_grid = cfg.beat_grid(pair)
     beat_intensity = np.abs(chirped_pair_field(pair, beat_grid)) ** 2
 
     raman = cfg.raman_config(default_max_as=20, default_max_s=20)
@@ -197,7 +192,7 @@ def cmd_pulse(cfg: RunConfig, outdir: Path) -> int:
     try:
         beat = beat_frequency(pair)
         beat_period = 2.0 * np.pi / beat if beat > 0 else None
-        measured_beat = train_period(beat_intensity, dt)
+        measured_beat = train_period(beat_intensity, beat_grid.dt)
         err = abs(measured_beat - raman_period) / raman_period
         print(
             f"beat-note period: {measured_beat * 1e15:.3f} fs "

@@ -20,6 +20,11 @@ from .grids import GridSpec
 from .pulses import ChirpedPulsePair, TimeGrid, delay_for_beat
 from .units import omega_from_wavelength, omega_from_wavenumber_cm
 
+# samples in a pulse record (the nt key, and the beat record grown from it):
+# 2**24 complex samples take 256 MB, and a longer record would be refused
+# by the allocator with a traceback rather than by the configuration
+MAX_RECORD_SAMPLES = 2**24
+
 
 def _parse_bool(s: str) -> bool:
     low = s.strip().lower()
@@ -78,7 +83,10 @@ class RunConfig:
     t_d_fs: float | None = _key(_parse_float, None, lambda v: v >= 0, "must be non-negative")
     match: bool = _key(_parse_bool, False)
     pulse_channels: int = _key(_parse_int, 5, lambda v: v >= 1, "must be at least 1")
-    nt: int = _key(_parse_int, 16384, lambda v: v >= 64, "must be at least 64")
+    nt: int = _key(
+        _parse_int, 16384, lambda v: 64 <= v <= MAX_RECORD_SAMPLES,
+        f"must be between 64 and 2**24 = {MAX_RECORD_SAMPLES}",
+    )
     dt_fs: float = _key(_parse_float, 0.4, lambda v: v > 0, "must be positive")
 
     def __post_init__(self):
@@ -143,6 +151,25 @@ class RunConfig:
 
     def time_grid(self) -> TimeGrid:
         return TimeGrid(self.nt, self.dt)
+
+    def beat_grid(self, pair: ChirpedPulsePair) -> TimeGrid:
+        """The beat record: nt doubled until it spans both pulses with margin.
+
+        Centred between the two pulses. Refused before anything is allocated
+        when it would grow past MAX_RECORD_SAMPLES.
+        """
+        span = 1.2 * (4.0 * pair.tau + pair.t_d)
+        nt, dt = self.nt, self.dt
+        while nt * dt < span:
+            nt *= 2
+            if nt > MAX_RECORD_SAMPLES:
+                raise ConfigError(
+                    f"the beat record would grow to {nt} samples or more, past the "
+                    f"2**24 = {MAX_RECORD_SAMPLES} limit: it must span "
+                    f"1.2*(4*tau + t_d) = {span * 1e15:g} fs at dt_fs={self.dt_fs:g} "
+                    f"(tau_fs={self.tau_fs:g}, t_d_fs={pair.t_d * 1e15:g})"
+                )
+        return TimeGrid(nt, dt, -(nt // 2) * dt + pair.t_d / 2.0)
 
     def chirped_pair(self) -> ChirpedPulsePair:
         if self.match:

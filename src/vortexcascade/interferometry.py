@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .beams import BeamParams, LGModeIndex, lg_mode_field, loop_sample_count, sample_on_circle
-from .cascade import RamanConfig, SidebandLabel, observed_sideband
+from .cascade import RamanConfig, SidebandLabel, mirrored_sideband, observed_sideband
 from .errors import AliasingError, GridMismatchError, RegionError, VortexCascadeError
 from .grids import ComplexFieldGrid, GridSpec
 from .units import wavelength_from_omega
@@ -596,6 +596,10 @@ def analyze_order_panel(
 
     Failures in one order are recorded in its status and do not abort the
     others. Results follow the requested order list.
+
+    Where a set's two seeds are one array, orders k and 1 - k share one
+    observed field (see observed_sideband). The orders run pair by pair, so
+    a shared field is held only until the last order of its pair takes it.
     """
     lam_p = wavelength_from_omega(cfg.omega_p)
     lam_s = wavelength_from_omega(cfg.omega_s)
@@ -605,30 +609,49 @@ def analyze_order_panel(
     pump_r = lg_mode_field(LGModeIndex(0, 0), BeamParams(geometry.waist, lam_p), spec)
     stokes_r = lg_mode_field(LGModeIndex(0, 0), BeamParams(geometry.waist, lam_s), spec)
 
-    results: list[OrderResult] = []
-    for label in orders:
-        try:
-            vortex = observed_sideband(pump_v, stokes_v, label, oversample=OVERSAMPLE)
-            reference = observed_sideband(pump_r, stokes_r, label, oversample=OVERSAMPLE)
-            tilt = geometry.fringe_count() * vortex.wavelength / (
-                vortex.spec.nx * vortex.spec.dx
-            )
-            gram = synthesize_interferogram(
-                vortex, reference, tilt, geometry.offset_y, label=label
-            )
-            if geometry.noise_fraction > 0.0:
-                rng = np.random.default_rng((geometry.seed, label.k + 10_000))
-                gram = add_intensity_noise(gram, geometry.noise_fraction, rng)
-            reading = extract_charge(gram)
-            results.append(
-                OrderResult(
+    sets = ((pump_v, stokes_v), (pump_r, stokes_r))
+    mirrored = [np.array_equal(pump.values, stokes.values) for pump, stokes in sets]
+
+    def observe(s: int, label: SidebandLabel, shared: dict, last: bool) -> ComplexFieldGrid:
+        pump, stokes = sets[s]
+        if not mirrored[s]:
+            return observed_sideband(pump, stokes, label, oversample=OVERSAMPLE)
+        partner = shared.pop(s, None) if last else shared.get(s)
+        if partner is not None:
+            return mirrored_sideband(partner, pump, stokes, label)
+        field = observed_sideband(pump, stokes, label, oversample=OVERSAMPLE)
+        if not last:
+            shared[s] = field
+        return field
+
+    pairs: dict[int, list[int]] = {}
+    for i, label in enumerate(orders):
+        pairs.setdefault(min(label.k, 1 - label.k), []).append(i)
+    results: list[OrderResult | None] = [None] * len(orders)
+    for members in pairs.values():
+        shared: dict[int, ComplexFieldGrid] = {}  # set index -> this pair's field
+        for i in members:
+            label, last = orders[i], i == members[-1]
+            try:
+                vortex = observe(0, label, shared, last)
+                reference = observe(1, label, shared, last)
+                tilt = geometry.fringe_count() * vortex.wavelength / (
+                    vortex.spec.nx * vortex.spec.dx
+                )
+                gram = synthesize_interferogram(
+                    vortex, reference, tilt, geometry.offset_y, label=label
+                )
+                if geometry.noise_fraction > 0.0:
+                    rng = np.random.default_rng((geometry.seed, label.k + 10_000))
+                    gram = add_intensity_noise(gram, geometry.noise_fraction, rng)
+                reading = extract_charge(gram)
+                results[i] = OrderResult(
                     label=label,
                     status="ok",
                     reading=reading,
                     beam_intensity=vortex.intensity(),
                     fork_intensity=gram.intensity,
                 )
-            )
-        except (VortexCascadeError, ValueError) as exc:
-            results.append(OrderResult(label=label, status=f"error: {exc}"))
+            except (VortexCascadeError, ValueError) as exc:
+                results[i] = OrderResult(label=label, status=f"error: {exc}")
     return results

@@ -130,10 +130,18 @@ def synthesize_waveform(
     amps = np.array([c.amplitude for c in comb]) * np.exp(1j * phases)
     t = grid.times
     # one channel at a time, in channel order: the same additions as summing
-    # the channels x samples matrix over its rows, without holding it
-    field = amps[0] * np.exp(-1j * omegas[0] * t)
-    for amp, omega in zip(amps[1:], omegas[1:]):
-        field += amp * np.exp(-1j * omega * t)
+    # the channels x samples matrix over its rows, without holding it. Each
+    # phasor is cos(x) + i*sin(x) of x = -omega*t, the value exp(-1j*omega*t)
+    # takes, without a complex exponential; amp multiplies from the left, as
+    # in amp * phasor, because the product rounds differently the other way
+    x = np.empty_like(t)
+    phasor = np.empty(t.shape, dtype=np.complex128)
+    field = np.zeros_like(phasor)
+    for amp, omega in zip(amps, omegas):
+        np.multiply(-omega, t, out=x)
+        np.cos(x, out=phasor.real)
+        np.sin(x, out=phasor.imag)
+        field += np.multiply(amp, phasor, out=phasor)
     return np.abs(field) ** 2
 
 

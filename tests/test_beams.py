@@ -296,6 +296,19 @@ class TestFarField:
         oracle = math.sqrt(0.5) * WL * f_len / (math.pi * beam.waist_w0)
         assert ring_radius(fine) == pytest.approx(oracle, rel=0.05)
 
+    def test_default_focal_length_is_colour_blind(self):
+        # the six ladder wavelengths of a 633 nm pump and a 320 cm^-1 shift:
+        # lambda*(n*dx^2/lambda) rounds to different pitches for some of them
+        rng = np.random.default_rng(3)
+        spec = GridSpec.square(64, 50 * 1e-6)
+        values = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        lams = [1e-2 / (1e7 / 633 - 320 + 320 * k) for k in range(-2, 4)]
+        fields = [far_field(ComplexFieldGrid(spec, lam, values), oversample=4) for lam in lams]
+        for lam, ff in zip(lams, fields):
+            assert ff.wavelength == lam
+            assert ff.spec == fields[0].spec, lam
+            assert np.array_equal(ff.values, fields[0].values), lam
+
     @staticmethod
     def padded_fft_far_field(values, spec, lam, f, oversample):
         """The padded-FFT crop: centred FFT of the zero-padded source, central window."""

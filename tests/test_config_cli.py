@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,28 @@ class TestPulseCommand:
 
     def test_needs_delay_or_match(self, tmp_path):
         assert main(["pulse", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "setting,named",
+        [("tau_fs=1e9", ["33554432 samples", "tau_fs=1e+09", "t_d_fs=", "dt_fs=0.4"]),
+         (f"nt={2**40}", ["nt", str(2**40)])],
+    )
+    def test_record_past_limit_refused_before_allocation(self, tmp_path, capsys, setting, named):
+        # tau_fs=1e9 once doubled the beat record to 2**34 samples (128 GiB)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["pulse", "--out", str(out), "--set", "match=true", "--set", setting])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1e6, f"peak {peak / 1e6:.0f} MB"
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "2**24 = 16777216" in err
+        for text in named:
+            assert text in err
 
     @pytest.mark.parametrize("setting", ["match=true", "t_d_fs=0"])
     def test_csvs_equal_per_float_formatting(self, tmp_path, monkeypatch, setting):

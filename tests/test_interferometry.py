@@ -21,8 +21,11 @@ from vortexcascade import (
     gaussian_field,
     lg_mode_field,
     LGModeIndex,
+    sideband_charge,
     synthesize_interferogram,
 )
+from vortexcascade import interferometry
+from vortexcascade.config import load_config
 from vortexcascade.errors import AliasingError, GridMismatchError, RegionError
 from vortexcascade.interferometry import _demodulate, _gaussian_filter, detect_carrier
 from vortexcascade.units import omega_from_wavenumber_cm
@@ -444,3 +447,69 @@ class TestOrderPanel:
             assert r.fork_intensity.shape == (256, 256)
             assert np.all(np.isfinite(r.fork_intensity))
             assert np.all(r.fork_intensity >= 0)
+
+
+class TestMirroredOrdersShareFields:
+    """Orders k and 1 - k share one observed field where a set's seeds are one array."""
+
+    def geometry(self, **kw):
+        return PanelGeometry(spec=GridSpec.square(256, 50e-6), waist=1e-3, **kw)
+
+    @pytest.mark.parametrize("m5_in", ["false", "true"])
+    def test_633_nm_panel_reads_ladder_charges(self, m5_in):
+        # figure3 --set pump_wavelength_nm=633 --set grid_n=256 --set
+        # grid_pitch_um=50: its ladder wavelengths give far-field pitches that
+        # differ in the last bit unless the default far field is colour-blind,
+        # and with S2 first, P and AS2 reuse a reference field
+        run = load_config(overrides=[
+            "pump_wavelength_nm=633", f"m5_in={m5_in}", "grid_n=256", "grid_pitch_um=50"
+        ])
+        cfg = run.raman_config(default_max_as=2, default_max_s=2)
+        geometry = PanelGeometry(spec=run.grid_spec(), waist=run.waist)
+        results = analyze_order_panel(cfg, geometry, ORDERS[::-1])
+        assert [r.status for r in results] == ["ok"] * 6
+        assert [r.reading.ell for r in results] == [sideband_charge(cfg, r.label) for r in results]
+
+    @pytest.mark.parametrize("ell_s,calls", [(-1, 9), (1, 6)])
+    def test_observed_sideband_calls(self, monkeypatch, ell_s, calls):
+        # 3 mirrored pairs: the reference set shares always, the vortex set
+        # only when ell_p = ell_s
+        seen = []
+        original = interferometry.observed_sideband
+
+        def counting(pump, stokes, label, oversample=1):
+            seen.append(label)
+            return original(pump, stokes, label, oversample=oversample)
+
+        monkeypatch.setattr(interferometry, "observed_sideband", counting)
+        results = analyze_order_panel(panel_config(1, ell_s), self.geometry(), ORDERS)
+        assert all(r.ok for r in results)
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("ell_s", [-1, 1])
+    def test_each_order_equals_its_single_order_panel(self, ell_s):
+        # a single order has no partner to share with; a shared source
+        # p^a*conj(s)^b is the partner's product with its factors swapped,
+        # and numpy's complex product can round differently that way round
+        cfg = panel_config(1, ell_s)
+        geometry = self.geometry(noise_fraction=0.03, seed=7)
+        for shared in analyze_order_panel(cfg, geometry, ORDERS):
+            (alone,) = analyze_order_panel(cfg, geometry, [shared.label])
+            assert shared.reading.ell == alone.reading.ell, shared.label
+            assert shared.reading.method == alone.reading.method, shared.label
+            assert shared.reading.confidence == pytest.approx(
+                alone.reading.confidence, rel=1e-12, abs=0.0
+            ), shared.label
+            for a, b in ((shared.beam_intensity, alone.beam_intensity),
+                         (shared.fork_intensity, alone.fork_intensity)):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), shared.label
+
+    @pytest.mark.parametrize("m5_in", ["false", "true"])
+    def test_partner_past_the_ladder_end_keeps_its_error(self, m5_in):
+        cfg = load_config(overrides=["raman_shift_cm1=5000", f"m5_in={m5_in}"]).raman_config(
+            default_max_as=2, default_max_s=2
+        )
+        orders = [SidebandLabel.anti_stokes(2), SidebandLabel.stokes_order(2)]
+        as2, s2 = analyze_order_panel(cfg, self.geometry(), orders)
+        assert as2.ok and as2.reading.ell == sideband_charge(cfg, as2.label)
+        assert s2.status.startswith("error: ladder index -2 reaches ")
