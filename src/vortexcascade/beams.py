@@ -341,6 +341,21 @@ def sample_on_circle(
     sample coordinates are clamped to [0, n - 1] on each axis.
     """
     ang = angle0 + 2.0 * math.pi * np.arange(n_samples) / n_samples
+    return sample_at_angles(values, spec, radius, ang, center_xy)
+
+
+def sample_at_angles(
+    values: np.ndarray,
+    spec: GridSpec,
+    radius: float | np.ndarray,
+    ang: np.ndarray,
+    center_xy: tuple[float, float] = (0.0, 0.0),
+) -> np.ndarray:
+    """Bilinear samples at center_xy + radius*(cos, sin)(ang), as sample_on_circle.
+
+    radius may be an array matching ang, so several circles are sampled in
+    one pass; each sample is computed as on its own circle.
+    """
     px = center_xy[0] + radius * np.cos(ang)
     py = center_xy[1] + radius * np.sin(ang)
     col = np.clip(px / spec.dx + spec.nx // 2, 0, spec.nx - 1)
@@ -351,8 +366,10 @@ def sample_on_circle(
     r0 = np.minimum(row.astype(np.intp), spec.ny - 2)
     tc = col - c0
     tr = row - r0
-    top = (1.0 - tc) * values[r0, c0] + tc * values[r0, c0 + 1]
-    bottom = (1.0 - tc) * values[r0 + 1, c0] + tc * values[r0 + 1, c0 + 1]
+    flat = values.ravel()
+    corner = r0 * spec.nx + c0  # flat index of the cell's lower corner
+    top = (1.0 - tc) * flat[corner] + tc * flat[corner + 1]
+    bottom = (1.0 - tc) * flat[corner + spec.nx] + tc * flat[corner + spec.nx + 1]
     return (1.0 - tr) * top + tr * bottom
 
 

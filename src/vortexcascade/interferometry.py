@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .beams import BeamParams, LGModeIndex, lg_mode_field, loop_sample_count, sample_on_circle
+from .beams import BeamParams, LGModeIndex, lg_mode_field, loop_sample_count, sample_at_angles
 from .cascade import RamanConfig, SidebandLabel, mirrored_sideband, observed_sideband
 from .errors import AliasingError, GridMismatchError, RegionError, VortexCascadeError
 from .grids import ComplexFieldGrid, GridSpec
@@ -38,8 +38,20 @@ OVERSAMPLE = 4
 
 
 def _wrap(a):
-    """Phase differences wrapped into [-pi, pi)."""
-    return np.mod(a + math.pi, TWO_PI) - math.pi
+    """Phase differences wrapped into [-pi, pi).
+
+    Defined for a in [-2*pi, 2*pi], where every difference of two np.angle
+    values lies. There its two compare-and-shift steps equal
+    np.mod(a + pi, 2*pi) - pi bit for bit: b = a + pi lies in [-pi, 3*pi];
+    for b >= 2*pi, b - 2*pi is exact (Sterbenz), as np.mod's remainder is;
+    for b < 0, b + 2*pi is the sum np.mod itself rounds (to 2*pi, giving
+    +pi, for the tiniest negative b).
+    """
+    b = a + math.pi
+    np.subtract(b, TWO_PI, out=b, where=b >= TWO_PI)
+    np.add(b, TWO_PI, out=b, where=b < 0.0)
+    b -= math.pi
+    return b
 
 
 def _check_carrier(carrier: tuple[float, float], wavelength: float, spec: GridSpec) -> None:
@@ -190,6 +202,60 @@ def add_intensity_noise(
     return replace(gram, intensity=np.maximum(noisy, 0.0))
 
 
+def _below_tenfold_median(peak: float, values: np.ndarray) -> bool:
+    """peak < 10 * np.median(values), mostly without the median.
+
+    x -> 10*x rounds monotonically, so the values whose tenfold exceeds peak
+    are the top `above` of the sorted values, and the median's tenfold does
+    iff the median is among them. Only an even count split exactly between
+    the two middle values needs their mean, which np.median computes.
+    """
+    above = 2 * int(np.count_nonzero(10.0 * values > peak))
+    if above != values.size:
+        return above > values.size
+    return peak < 10.0 * float(np.median(values))
+
+
+def _dc_radius(spectrum: np.ndarray, nx: int, ny: int) -> int | None:
+    """Radius, in bins, past which the baseband lobe of a half spectrum is quiet.
+
+    The radial max-profile (the largest |F| at each rounded radius, radii at
+    or past r_max = min(nx, ny)//2 folded into r_max) is walked out from
+    r = 2 to the first of three bins in a row below 5% of its peak over radii
+    1..3. The profile up to radius k depends only on the box |by| <= k,
+    bx <= k around DC, so it is built on such a box, doubled until the walk
+    ends inside it, and on the whole half spectrum once k reaches r_max.
+    Max is exact, so each radius sees the same bins and values as on the
+    whole half spectrum. None when the spectrum is zero near DC or never
+    quiets.
+    """
+    r_max = min(nx, ny) // 2
+    k = 16
+    while True:
+        if k >= r_max:
+            k = r_max
+            by = _fft_order(ny)[:, None]
+            box = spectrum
+        else:
+            by = np.r_[0 : k + 1, -k:0][:, None]
+            box = spectrum[by[:, 0] % ny, : k + 1]
+        bx = np.arange(box.shape[1])[None, :]
+        # radii past k only fill the slot k + 1 of a box's profile
+        r_idx = np.minimum(np.round(np.sqrt(bx**2 + by**2)).astype(int), min(k + 1, r_max))
+        profile = np.zeros(min(k + 1, r_max) + 1)
+        np.maximum.at(profile, r_idx.ravel(), box.ravel())
+        ref = float(np.max(profile[1:4]))
+        if ref <= 0:
+            return None
+        quiet = profile[: k + 1] < 0.05 * ref
+        for r in range(2, quiet.size - 2):
+            if quiet[r] and quiet[r + 1] and quiet[r + 2]:
+                return r
+        if k == r_max:
+            return None
+        k *= 2
+
+
 def detect_carrier(gram: Interferogram, sign_hint: int = 1) -> tuple[float, float] | None:
     """Carrier angles from the dominant off-axis spectral peak, or None.
 
@@ -197,47 +263,45 @@ def detect_carrier(gram: Interferogram, sign_hint: int = 1) -> tuple[float, floa
     half-plane fx >= 0 is searched; sign_hint = -1 selects the mirrored
     carrier (the sign of the angle between the beams is the one thing the
     pattern itself cannot tell).
+
+    The baseband lobe is found on boxes around DC that grow until its
+    radial max-profile has quieted (_dc_radius); the rest of the open
+    half-plane is gathered once, in row-major order. A pattern whose peak
+    is under ten times the median of that band has no carrier; the gate
+    counts the values whose tenfold exceeds the peak and needs the median
+    itself only when exactly half of an even-sized band does
+    (_below_tenfold_median). Neither shortcut changes a result: maxima
+    and the gate's comparisons are exact.
     """
     ny, nx = gram.intensity.shape
     spectrum = np.abs(gram.half_spectrum)
-    by = _fft_order(ny)[:, None]  # signed bins; columns are bx = 0 .. nx//2
-    bx = np.arange(nx // 2 + 1)[None, :]
-    r2_bins = bx**2 + by**2
-
     # The baseband envelope lobe can out-shine the carrier well past DC, so
-    # exclude it adaptively: walk the radial max-profile of the spectrum out
-    # to where it has decayed for good, then place the carrier at the power
-    # centroid of the remaining half-plane (the sideband of a fork pattern
-    # is a plateau or donut around the carrier, which defeats simple argmax).
-    r_idx = np.minimum(np.round(np.sqrt(r2_bins)).astype(int), min(nx, ny) // 2)
-    profile = np.zeros(min(nx, ny) // 2 + 1)
-    np.maximum.at(profile, r_idx.ravel(), spectrum.ravel())
-    ref = float(np.max(profile[1:4]))
-    if ref <= 0:
-        return None
-    quiet = profile < 0.05 * ref
-    r_dc = None
-    for r in range(2, quiet.size - 2):
-        if quiet[r] and quiet[r + 1] and quiet[r + 2]:
-            r_dc = r
-            break
+    # exclude it adaptively (see _dc_radius), then place the carrier at the
+    # power centroid of the remaining half-plane (the sideband of a fork
+    # pattern is a plateau or donut around the carrier, which defeats
+    # simple argmax).
+    r_dc = _dc_radius(spectrum, nx, ny)
     if r_dc is None:
         return None
+    by = _fft_order(ny)[:, None]  # signed bins; columns are bx = 0 .. nx//2
+    bx = np.arange(nx // 2 + 1)[None, :]
     # the open half-plane of the full spectrum: bx in (0, nx/2), or bx = 0
     # with by > 0 (the column bx = nx/2 of an even frame is its own mirror)
-    band = (r2_bins >= r_dc**2) & (((bx > 0) & (2 * bx < nx)) | ((bx == 0) & (by > 0)))
-    rows, cols = np.nonzero(band)
-    if rows.size == 0:
+    band = (bx**2 >= r_dc**2 - by**2) & (((bx > 0) & (2 * bx < nx)) | ((bx == 0) & (by > 0)))
+    values = spectrum[band]  # row-major order fixes the centroid sums' rounding
+    if values.size == 0:
         return None
-    values = spectrum[rows, cols]
     peak_val = float(np.max(values))
-    noise_floor = float(np.median(values))
-    if peak_val <= 0 or (noise_floor > 0 and peak_val < 10.0 * noise_floor):
+    if peak_val <= 0 or _below_tenfold_median(peak_val, values):
         return None
-    power = values**2
+    power = np.square(values, out=values)
     total = float(np.sum(power))
-    fx = float(np.sum(cols * power) / total) / (nx * gram.spec.dx)
-    fy = float(np.sum(by[rows, 0] * power) / total) / (ny * gram.spec.dy)
+    # each bin's signed frequency, gathered like the values and then
+    # weighted by its power in place
+    weight = np.broadcast_to(bx.astype(float), band.shape)[band]
+    fx = float(np.sum(np.multiply(weight, power, out=weight)) / total) / (nx * gram.spec.dx)
+    weight = np.broadcast_to(by.astype(float), band.shape)[band]
+    fy = float(np.sum(np.multiply(weight, power, out=weight)) / total) / (ny * gram.spec.dy)
     if sign_hint < 0:
         fx, fy = -fx, -fy
     return (fx * gram.wavelength, fy * gram.wavelength)
@@ -277,28 +341,45 @@ def _demodulate(gram: Interferogram, carrier: tuple[float, float]):
     def _band(cx, cy):
         bx, sx, rx = _crop_axis(spec.nx, mx, cx)
         by, sy, ry = _crop_axis(spec.ny, my, cy)
-        dist = np.hypot(bx[None, :] - cx, by[:, None] - cy)
-        w = 0.5 * (1.0 + np.cos(np.pi * np.minimum(dist / r_mask, 1.0)))
-        w = np.where(dist <= r_mask, w, 0.0)
-        cols = np.abs(bx)
-        patch = np.where(
-            bx[None, :] >= 0,
-            half[np.ix_(by % spec.ny, cols)],
-            np.conj(half[np.ix_(-by % spec.ny, cols)]),
-        )
+        # raised cosine of the distance from the center, zero past r_mask;
+        # a distance is never below either of its legs, so only the rows and
+        # columns within r_mask of the center need it
+        ux, uy = bx - cx, by - cy
+        rows, cols = np.abs(uy) <= r_mask, np.abs(ux) <= r_mask
+        dist = np.hypot(ux[cols][None, :], uy[rows][:, None])
+        inside = dist <= r_mask
+        w_near = np.zeros(dist.shape)
+        w_near[inside] = 0.5 * (1.0 + np.cos(np.pi * (dist[inside] / r_mask)))
+        w = np.zeros((my, mx))
+        w[np.ix_(rows, cols)] = w_near
+        patch = half[np.ix_(by % spec.ny, np.abs(bx))]
+        mirrored = bx < 0
+        if mirrored.any():
+            patch[:, mirrored] = np.conj(half[np.ix_(-by % spec.ny, -bx[mirrored])])
         side = np.fft.ifft2(patch * w * (sy[:, None] * sx[None, :]))
         return side * (ry[:, None] * rx[None, :])
 
     return _band(cbx, cby), _band(0.0, 0.0).real, coarse
 
 
-def _winding_on_circle(
-    values: np.ndarray, spec: GridSpec, center_xy: tuple[float, float], radius: float
-) -> float:
-    n = loop_sample_count(spec, radius)
-    ph = np.angle(sample_on_circle(values, spec, radius, n, center_xy))
-    d = _wrap(np.diff(ph, append=ph[:1]))
-    return float(np.sum(d) / TWO_PI)
+def _windings_on_circles(
+    values: np.ndarray, spec: GridSpec, center_xy: tuple[float, float], radii: list[float]
+) -> list[float]:
+    """Phase winding of values (in turns) on each circle around center_xy.
+
+    Each circle gets loop_sample_count samples. All circles are sampled in
+    one bilinear pass; each winding is the sum of its own circle's wrapped
+    differences, the last one closing the loop.
+    """
+    counts = [loop_sample_count(spec, r) for r in radii]
+    ang = np.concatenate([2.0 * math.pi * np.arange(n) / n for n in counts])
+    ph = np.angle(sample_at_angles(values, spec, np.repeat(radii, counts), ang, center_xy))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    nxt = np.arange(1, ph.size + 1)
+    nxt[ends - 1] = starts
+    d = _wrap(ph[nxt] - ph)
+    return [float(np.sum(d[a:b]) / TWO_PI) for a, b in zip(starts, ends)]
 
 
 def _gaussian_filter(a: np.ndarray, sigma: float) -> np.ndarray:
@@ -342,7 +423,7 @@ def _core_candidates(
     """
     sigma_big = max(3.0, min(spec.nx, spec.ny) / 64.0)
     local = _gaussian_filter(env, sigma_big)
-    xx, yy = spec.meshes()
+    xx, yy = spec.x[None, :], spec.y[:, None]  # broadcast, as spec.meshes()
     rr = np.hypot(xx, yy)
     central = rr <= 0.35 * min(spec.extent_x, spec.extent_y)
     candidates: list[tuple[float, float]] = []
@@ -357,9 +438,13 @@ def _core_candidates(
     if np.any(singular):
         weight = np.where(singular, cell_local, -np.inf)
         iy, ix = np.unravel_index(int(np.argmax(weight)), weight.shape)
-        cyy, cxx = np.mgrid[0 : wind.shape[0], 0 : wind.shape[1]]
-        near = singular & (np.hypot(cxx - ix, cyy - iy) <= 5.0)
-        w = np.abs(wind)[near] * np.maximum(cell_local[near], 0.0)
+        # the cells within 5 cells of the strongest, from a box around it in
+        # row-major order, which fixes the centroid sums' rounding
+        ny_c, nx_c = wind.shape
+        box = np.s_[max(iy - 5, 0) : min(iy + 6, ny_c), max(ix - 5, 0) : min(ix + 6, nx_c)]
+        cyy, cxx = np.mgrid[box]
+        near = singular[box] & ((cxx - ix) ** 2 + (cyy - iy) ** 2 <= 25)
+        w = np.abs(wind[box][near]) * np.maximum(cell_local[box][near], 0.0)
         fx, fy = float(ix), float(iy)
         if float(np.sum(w)) > 0:
             fx = float(np.sum(cxx[near] * w) / np.sum(w))
@@ -385,7 +470,7 @@ def _core_candidates(
     flat_min = np.min(masked)
     ties = np.argwhere(masked <= flat_min * (1.0 + 1e-12) + 1e-300)
     best = min(ties.tolist(), key=lambda ij: (rr[ij[0], ij[1]], ij[0], ij[1]))
-    candidates.append((float(xx[best[0], best[1]]), float(yy[best[0], best[1]])))
+    candidates.append((float(spec.x[best[1]]), float(spec.y[best[0]])))
     return candidates
 
 
@@ -393,8 +478,7 @@ def _signal_ring_radius(
     env: np.ndarray, spec: GridSpec, center_xy: tuple[float, float]
 ) -> float:
     """Radius of strongest envelope around the core (best winding circle)."""
-    xx, yy = spec.meshes()
-    r = np.hypot(xx - center_xy[0], yy - center_xy[1])
+    r = np.hypot(spec.x[None, :] - center_xy[0], spec.y[:, None] - center_xy[1])
     dr = max(spec.dx, spec.dy)
     idx = (r / dr).astype(np.int64)
     nbins = int(0.45 * min(spec.extent_x, spec.extent_y) / dr)
@@ -443,7 +527,7 @@ def extract_charge(
     for core in _core_candidates(D, env, spec):
         r_sig = _signal_ring_radius(env, spec, core)
         radii = [min(max(f * r_sig, 4.0 * pitch), r_hi) for f in (0.6, 1.0, 1.4)]
-        windings = [_winding_on_circle(D, spec, core, r) for r in radii]
+        windings = _windings_on_circles(D, spec, core, radii)
         # conj(V)*R winds by ell(R)-ell(V); report ell(V)-ell(R)
         circulations = [-w for w in windings]
         ell = int(round(float(np.median(circulations))))
@@ -453,7 +537,7 @@ def extract_charge(
     spread, ell, core, r_sig = best
     integer_conf = max(0.0, 1.0 - spread / 0.5)
 
-    ring = np.hypot(*(np.array(spec.meshes()) - np.array(core)[:, None, None]))
+    ring = np.hypot(spec.x[None, :] - core[0], spec.y[:, None] - core[1])
     band = (ring >= 0.8 * r_sig) & (ring <= 1.2 * r_sig) & (i_lp > 1e-12 * i_lp.max())
     if np.any(band):
         vis = float(np.median(2.0 * env[band] / i_lp[band]))
@@ -604,12 +688,20 @@ def analyze_order_panel(
     lam_p = wavelength_from_omega(cfg.omega_p)
     lam_s = wavelength_from_omega(cfg.omega_s)
     spec = geometry.spec
-    pump_v = lg_mode_field(LGModeIndex(0, cfg.ell_p), BeamParams(geometry.waist, lam_p), spec)
-    stokes_v = lg_mode_field(LGModeIndex(0, cfg.ell_s), BeamParams(geometry.waist, lam_s), spec)
-    pump_r = lg_mode_field(LGModeIndex(0, 0), BeamParams(geometry.waist, lam_p), spec)
-    stokes_r = lg_mode_field(LGModeIndex(0, 0), BeamParams(geometry.waist, lam_s), spec)
+    sampled: dict[int, ComplexFieldGrid] = {}
 
-    sets = ((pump_v, stokes_v), (pump_r, stokes_r))
+    def seed(ell: int, lam: float) -> ComplexFieldGrid:
+        # at the waist an LG mode does not depend on wavelength (w(z) = w0),
+        # so each charge is sampled once and retagged with each colour
+        if ell not in sampled:
+            sampled[ell] = lg_mode_field(LGModeIndex(0, ell), BeamParams(geometry.waist, lam), spec)
+        field = sampled[ell]
+        return field if field.wavelength == lam else ComplexFieldGrid(spec, lam, field.values)
+
+    sets = (
+        (seed(cfg.ell_p, lam_p), seed(cfg.ell_s, lam_s)),
+        (seed(0, lam_p), seed(0, lam_s)),
+    )
     mirrored = [np.array_equal(pump.values, stokes.values) for pump, stokes in sets]
 
     def observe(s: int, label: SidebandLabel, shared: dict, last: bool) -> ComplexFieldGrid:

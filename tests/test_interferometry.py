@@ -27,7 +27,15 @@ from vortexcascade import (
 from vortexcascade import interferometry
 from vortexcascade.config import load_config
 from vortexcascade.errors import AliasingError, GridMismatchError, RegionError
-from vortexcascade.interferometry import _demodulate, _gaussian_filter, detect_carrier
+from vortexcascade.beams import loop_sample_count, sample_on_circle
+from vortexcascade.interferometry import (
+    _below_tenfold_median,
+    _demodulate,
+    _gaussian_filter,
+    _windings_on_circles,
+    _wrap,
+    detect_carrier,
+)
 from vortexcascade.units import omega_from_wavenumber_cm
 
 WL = 800e-9
@@ -337,6 +345,261 @@ class TestDemodulate:
         assert full_spectrum_detect_carrier(flat) is None
 
 
+def whole_half_plane_detect_carrier(gram, sign_hint=1):
+    """Carrier detection as it was before the box walk and the counted gate.
+
+    Radial max-profile over the whole half spectrum, np.nonzero gather of
+    the band, np.median noise floor.
+    """
+    ny, nx = gram.intensity.shape
+    spectrum = np.abs(gram.half_spectrum)
+    by = interferometry._fft_order(ny)[:, None]
+    bx = np.arange(nx // 2 + 1)[None, :]
+    r2_bins = bx**2 + by**2
+    r_idx = np.minimum(np.round(np.sqrt(r2_bins)).astype(int), min(nx, ny) // 2)
+    profile = np.zeros(min(nx, ny) // 2 + 1)
+    np.maximum.at(profile, r_idx.ravel(), spectrum.ravel())
+    ref = float(np.max(profile[1:4]))
+    if ref <= 0:
+        return None
+    quiet = profile < 0.05 * ref
+    r_dc = None
+    for r in range(2, quiet.size - 2):
+        if quiet[r] and quiet[r + 1] and quiet[r + 2]:
+            r_dc = r
+            break
+    if r_dc is None:
+        return None
+    band = (r2_bins >= r_dc**2) & (((bx > 0) & (2 * bx < nx)) | ((bx == 0) & (by > 0)))
+    rows, cols = np.nonzero(band)
+    if rows.size == 0:
+        return None
+    values = spectrum[rows, cols]
+    peak_val = float(np.max(values))
+    noise_floor = float(np.median(values))
+    if peak_val <= 0 or (noise_floor > 0 and peak_val < 10.0 * noise_floor):
+        return None
+    power = values**2
+    total = float(np.sum(power))
+    fx = float(np.sum(cols * power) / total) / (nx * gram.spec.dx)
+    fy = float(np.sum(by[rows, 0] * power) / total) / (ny * gram.spec.dy)
+    if sign_hint < 0:
+        fx, fy = -fx, -fy
+    return (fx * gram.wavelength, fy * gram.wavelength)
+
+
+def single_circle_winding(values, spec, center_xy, radius):
+    """One circle's winding as it was before circles were batched: its own
+    sample_on_circle call and np.mod wrapping."""
+    n = loop_sample_count(spec, radius)
+    ph = np.angle(sample_on_circle(values, spec, radius, n, center_xy))
+    d = np.mod(np.diff(ph, append=ph[:1]) + math.pi, 2.0 * math.pi) - math.pi
+    return float(np.sum(d) / (2.0 * math.pi))
+
+
+def whole_crop_demodulate(gram, carrier):
+    """_demodulate as it was before its window skipped the bins outside
+    r_mask: hypot and cosine on every bin of the crop, both mirror gathers."""
+    spec = gram.spec
+    cbx = carrier[0] / gram.wavelength * spec.nx * spec.dx
+    cby = carrier[1] / gram.wavelength * spec.ny * spec.dy
+    r_mask = 0.5 * math.hypot(cbx, cby)
+    crop = 1 << math.ceil(math.log2(4.0 * r_mask))
+    mx, my = min(spec.nx, crop), min(spec.ny, crop)
+    half = gram.half_spectrum
+
+    def band(cx, cy):
+        bx, sx, rx = interferometry._crop_axis(spec.nx, mx, cx)
+        by, sy, ry = interferometry._crop_axis(spec.ny, my, cy)
+        dist = np.hypot(bx[None, :] - cx, by[:, None] - cy)
+        w = 0.5 * (1.0 + np.cos(np.pi * np.minimum(dist / r_mask, 1.0)))
+        w = np.where(dist <= r_mask, w, 0.0)
+        cols = np.abs(bx)
+        patch = np.where(
+            bx[None, :] >= 0,
+            half[np.ix_(by % spec.ny, cols)],
+            np.conj(half[np.ix_(-by % spec.ny, cols)]),
+        )
+        side = np.fft.ifft2(patch * w * (sy[:, None] * sx[None, :]))
+        return side * (ry[:, None] * rx[None, :])
+
+    return band(cbx, cby), band(0.0, 0.0).real
+
+
+def whole_grid_singular_cluster(D, env, spec):
+    """The first core candidate as it was found before its cluster search
+    was boxed (hypot distances to every cell of the grid), and the number of
+    singular cells exactly 5 cells from the strongest; None without one."""
+    local = _gaussian_filter(env, max(3.0, min(spec.nx, spec.ny) / 64.0))
+    xx, yy = spec.meshes()
+    central = np.hypot(xx, yy) <= 0.35 * min(spec.extent_x, spec.extent_y)
+    wind = interferometry._plaquette_winding(np.angle(D))
+    cell_local = local[:-1, :-1]
+    singular = (np.abs(wind) > math.pi) & central[:-1, :-1] & (
+        cell_local >= 0.05 * float(local.max())
+    )
+    if not np.any(singular):
+        return None
+    weight = np.where(singular, cell_local, -np.inf)
+    iy, ix = np.unravel_index(int(np.argmax(weight)), weight.shape)
+    cyy, cxx = np.mgrid[0 : wind.shape[0], 0 : wind.shape[1]]
+    near = singular & (np.hypot(cxx - ix, cyy - iy) <= 5.0)
+    w = np.abs(wind)[near] * np.maximum(cell_local[near], 0.0)
+    fx, fy = float(ix), float(iy)
+    if float(np.sum(w)) > 0:
+        fx = float(np.sum(cxx[near] * w) / np.sum(w))
+        fy = float(np.sum(cyy[near] * w) / np.sum(w))
+    at_five = int(np.count_nonzero(singular & (np.hypot(cxx - ix, cyy - iy) == 5.0)))
+    return ((fx + 0.5 - spec.nx // 2) * spec.dx, (fy + 0.5 - spec.ny // 2) * spec.dy), at_five
+
+
+def bare(intensity, spec=None, wavelength=1.0):
+    """A frame without carrier metadata; unit pitch and wavelength, as the
+    analyze command reads an image, unless given."""
+    ny, nx = intensity.shape
+    spec = spec or GridSpec(nx=nx, ny=ny, dx=1.0, dy=1.0)
+    return Interferogram(spec, intensity, (0.0, 0.0), wavelength)
+
+
+class TestExactReadoutKernels:
+    """The readout kernels return exactly what the code they replaced did."""
+
+    def assert_same_carrier(self, gram):
+        for hint in (1, -1):
+            assert detect_carrier(gram, hint) == whole_half_plane_detect_carrier(gram, hint)
+
+    def test_carrier_sweep_equals_whole_half_plane_search(self):
+        rng = np.random.default_rng(9)
+        found = 0
+        for n, w0 in ((256, 0.8e-3), (512, 1.6e-3)):
+            spec = GridSpec.square(n, PITCH)
+            beam = BeamParams(waist_w0=w0, wavelength=WL)
+            reference = gaussian_field(beam, spec)
+            for ell in range(-5, 6):
+                vortex = lg_mode_field(LGModeIndex(0, ell), beam, spec)
+                for sign in (1, -1):
+                    clean = synthesize_interferogram(vortex, reference, sign * 32 * WL / (n * PITCH))
+                    for noise in (0.0, 0.02, 0.05):
+                        gram = bare(add_intensity_noise(clean, noise, rng).intensity, spec, WL)
+                        self.assert_same_carrier(gram)
+                        found += detect_carrier(gram) is not None
+        assert found == 132
+
+    def test_lobe_past_the_first_box(self):
+        # a narrow beam's baseband lobe reaches past radius 14 bins, so the
+        # 16-bin box cannot end the walk; on 64 x 64 the next box is the
+        # whole half spectrum (r_max = 32)
+        for n in (64, 256):
+            spec = GridSpec.square(n, PITCH)
+            beam = BeamParams(waist_w0=0.1e-3, wavelength=WL)
+            gram = synthesize_interferogram(
+                lg_mode_field(LGModeIndex(0, 2), beam, spec), gaussian_field(beam, spec),
+                (n / 4) * WL / (n * PITCH),
+            )
+            spectrum = np.abs(gram.half_spectrum)
+            assert interferometry._dc_radius(spectrum, n, n) > 14
+            self.assert_same_carrier(bare(gram.intensity, spec, WL))
+
+    def test_spectrum_that_never_quiets(self):
+        # white noise: the walk runs through every box and the whole half
+        # spectrum, then gives up
+        rng = np.random.default_rng(4)
+        for shape in ((64, 64), (256, 256), (40, 72)):
+            gram = bare(rng.random(shape))
+            assert interferometry._dc_radius(np.abs(gram.half_spectrum), shape[1], shape[0]) is None
+            assert detect_carrier(gram) is None
+            self.assert_same_carrier(gram)
+
+    @pytest.mark.parametrize("ny, nx", [(45, 45), (33, 45), (64, 128), (128, 64), (255, 257), (8, 8)])
+    def test_odd_non_square_and_tiny_frames(self, ny, nx):
+        rng = np.random.default_rng(ny * 1000 + nx)
+        y, x = np.mgrid[0:ny, 0:nx]
+        envelope = np.exp(-((x - nx / 2) ** 2 / nx**2 + (y - ny / 2) ** 2 / ny**2) * 8.0)
+        fringes = 1.0 + np.cos(2 * np.pi * (x * 0.23 + y * 0.07) + 0.3)
+        for noise in (0.0, 0.05):
+            self.assert_same_carrier(bare(envelope * fringes + noise * rng.random((ny, nx))))
+
+    def test_demodulation_and_cluster_equal_whole_grid_versions(self):
+        # noisy frames whose detected carrier gives 64, 128 and 256 crops,
+        # and random fields whose phase defects put singular cells at every
+        # distance from the strongest one, exactly 5 cells included
+        rng = np.random.default_rng(12)
+        fields, crops = [], set()
+        for n, w0 in ((256, 0.8e-3), (512, 1.6e-3)):
+            spec = GridSpec.square(n, PITCH)
+            beam = BeamParams(waist_w0=w0, wavelength=WL)
+            reference = gaussian_field(beam, spec)
+            for ell in (-5, -2, 0, 1, 4):
+                vortex = lg_mode_field(LGModeIndex(0, ell), beam, spec)
+                clean = synthesize_interferogram(vortex, reference, 32 * WL / (n * PITCH))
+                for noise in (0.0, 0.05):
+                    gram = bare(add_intensity_noise(clean, noise, rng).intensity, spec, WL)
+                    carrier = detect_carrier(gram)
+                    D, i_lp, coarse = _demodulate(gram, carrier)
+                    D_ref, i_ref = whole_crop_demodulate(gram, carrier)
+                    assert np.array_equal(D, D_ref) and np.array_equal(i_lp, i_ref)
+                    crops.add(coarse.nx)
+                    fields.append((D, coarse))
+        assert crops == {64, 128, 256}
+        for shape in ((64, 64), (48, 80), (128, 128)) * 4:
+            D = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            fields.append((D, GridSpec(nx=shape[1], ny=shape[0], dx=2.0, dy=3.0)))
+        clusters = at_five = 0
+        for D, spec in fields:
+            env = np.abs(D)
+            expect = whole_grid_singular_cluster(D, env, spec)
+            if expect is not None:
+                assert interferometry._core_candidates(D, env, spec)[0] == expect[0]
+                clusters += 1
+                at_five += expect[1]
+        assert clusters >= 20 and at_five >= 20
+
+    def test_flat_frame(self):
+        gram = bare(np.full((128, 128), 0.5))
+        assert detect_carrier(gram) is None
+        assert whole_half_plane_detect_carrier(gram) is None
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 10, 101, 1000])
+    def test_median_gate_equals_median(self, size):
+        rng = np.random.default_rng(size)
+        cases = [rng.random(size), np.zeros(size), np.full(size, 0.5), rng.integers(0, 4, size) * 0.5]
+        half = np.concatenate([np.full(size // 2, 0.5), np.full(size - size // 2, 0.7)])
+        cases += [half, half[::-1]]
+        for values in cases:
+            for peak in (0.0, 1.0, 5.0, 6.0, 7.0, np.nextafter(5.0, 0.0), np.nextafter(5.0, 9.0)):
+                # peak 5 ties 10 * 0.5 exactly
+                expect = peak < 10.0 * float(np.median(values))
+                assert _below_tenfold_median(peak, values) == expect, (values, peak)
+
+    def test_wrap_equals_mod_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        special = [0.0, -0.0]
+        for x in (math.pi, 2.0 * math.pi):
+            for v in (x, -x):
+                special += [v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]
+        a = np.concatenate([rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 100_000), special])
+        # every difference of two np.angle values, including the extremes
+        ph = np.angle(np.exp(1j * rng.uniform(-4.0, 4.0, 2000)))
+        ph = np.concatenate([ph, [math.pi, -math.pi, 0.0, -0.0]])
+        diffs = (ph[:, None] - ph[None, :]).ravel()
+        for a in (a, diffs):
+            expect = np.mod(a + math.pi, 2.0 * math.pi) - math.pi
+            assert np.array_equal(_wrap(a).view(np.int64), expect.view(np.int64))
+
+    def test_batched_windings_equal_single_circles(self):
+        rng = np.random.default_rng(2)
+        spec = GridSpec(nx=128, ny=96, dx=3.0, dy=2.0)
+        values = rng.standard_normal((96, 128)) + 1j * rng.standard_normal((96, 128))
+        for center in ((0.0, 0.0), (7.3, -11.1)):
+            # 512, 832 and 1280 samples; the last circle leaves the grid
+            radii = [20.0, 103.0, 159.0]
+            counts = {loop_sample_count(spec, r) for r in radii}
+            assert len(counts) == 3
+            got = _windings_on_circles(values, spec, center, radii)
+            assert got == [single_circle_winding(values, spec, center, r) for r in radii]
+
+
+
 class TestGaussianFilter:
     @pytest.mark.parametrize("shape", [(5, 9), (8, 8), (8, 11), (64, 64)])
     @pytest.mark.parametrize("sigma", [1.0, 3.0, 8.0])
@@ -503,6 +766,31 @@ class TestMirroredOrdersShareFields:
             for a, b in ((shared.beam_intensity, alone.beam_intensity),
                          (shared.fork_intensity, alone.fork_intensity)):
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), shared.label
+
+    @pytest.mark.parametrize("ell_p,ell_s,calls", [(1, -1, 3), (1, 1, 2), (0, 0, 1), (0, 2, 2)])
+    def test_each_seed_charge_sampled_once(self, monkeypatch, ell_p, ell_s, calls):
+        # at the waist an LG mode does not depend on wavelength, so the four
+        # seeds need one lg_mode_field call per distinct charge
+        spec = self.geometry().spec
+        for ell in {ell_p, ell_s, 0}:
+            pump, stokes = (
+                lg_mode_field(LGModeIndex(0, ell), BeamParams(1e-3, lam), spec)
+                for lam in (800e-9, 821e-9)
+            )
+            assert np.array_equal(pump.values, stokes.values)
+        seen = []
+        original = interferometry.lg_mode_field
+
+        def counting(index, beam, spec, z=0.0):
+            seen.append(index.ell)
+            return original(index, beam, spec, z)
+
+        monkeypatch.setattr(interferometry, "lg_mode_field", counting)
+        results = analyze_order_panel(panel_config(ell_p, ell_s), self.geometry(), ORDERS)
+        assert len(seen) == calls
+        assert [r.reading.ell for r in results] == [
+            sideband_charge(panel_config(ell_p, ell_s), r.label) for r in results
+        ]
 
     @pytest.mark.parametrize("m5_in", ["false", "true"])
     def test_partner_past_the_ladder_end_keeps_its_error(self, m5_in):
