@@ -8,6 +8,7 @@ FFT-based propagation after an ifftshift.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,7 +74,8 @@ class ComplexFieldGrid:
     """Sampled complex amplitude of a monochromatic transverse field.
 
     Power is sum(|u|^2) * dx * dy. Instances are immutable: the value array
-    is copied on construction and marked read-only.
+    is copied on construction and marked read-only (with_wavelength shares
+    it with the new instance).
     """
 
     spec: GridSpec
@@ -108,6 +110,17 @@ class ComplexFieldGrid:
     def with_values(self, values: np.ndarray) -> "ComplexFieldGrid":
         """Same grid and wavelength, new samples."""
         return ComplexFieldGrid(self.spec, self.wavelength, values)
+
+    def with_wavelength(self, wavelength: float) -> "ComplexFieldGrid":
+        """Same grid and samples, tagged with another wavelength.
+
+        The read-only sample array is shared, not copied.
+        """
+        if wavelength <= 0:
+            raise ValueError(f"wavelength must be positive, got {wavelength}")
+        tagged = copy.copy(self)
+        object.__setattr__(tagged, "wavelength", wavelength)
+        return tagged
 
     def normalized(self) -> "ComplexFieldGrid":
         """Scaled copy with unit power."""

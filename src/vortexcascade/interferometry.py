@@ -695,8 +695,7 @@ def analyze_order_panel(
         # so each charge is sampled once and retagged with each colour
         if ell not in sampled:
             sampled[ell] = lg_mode_field(LGModeIndex(0, ell), BeamParams(geometry.waist, lam), spec)
-        field = sampled[ell]
-        return field if field.wavelength == lam else ComplexFieldGrid(spec, lam, field.values)
+        return sampled[ell].with_wavelength(lam)
 
     sets = (
         (seed(cfg.ell_p, lam_p), seed(cfg.ell_s, lam_s)),

@@ -423,6 +423,17 @@ class TestGridTypes:
         with pytest.raises(ValueError):
             f.values[0, 0] = 2.0
 
+    def test_retagged_field_shares_its_samples(self):
+        spec = GridSpec.square(16, 1e-6)
+        f = ComplexFieldGrid(spec, 1e-6, np.ones((16, 16)))
+        g = f.with_wavelength(2e-6)
+        assert (g.spec, g.wavelength, f.wavelength) == (spec, 2e-6, 1e-6)
+        assert g.values is f.values
+        with pytest.raises(ValueError):
+            g.values[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            f.with_wavelength(0.0)
+
     def test_mode_index_invariant(self):
         with pytest.raises(ValueError):
             LGModeIndex(-1, 0)
