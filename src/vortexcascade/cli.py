@@ -233,6 +233,7 @@ def cmd_analyze(image_path: str, carrier_sign: int, outdir: Path) -> int:
         intensity=intensity,
         carrier=(0.0, 0.0),
         wavelength=1.0,
+        adopt=True,  # read_pgm16's fresh array, held nowhere else
     )
     reading = extract_charge(gram, sign_hint=carrier_sign)
     print(f"ell={reading.ell:+d} confidence={reading.confidence:.4f} method={reading.method}")
@@ -245,44 +246,60 @@ def cmd_analyze(image_path: str, carrier_sign: int, outdir: Path) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# subcommand -> its line in the top-level help
+COMMANDS = {
+    "comb": "write the sideband ladder to comb.csv",
+    "figure3": "render sideband and fork images, read charges",
+    "pulse": "chirped-pair beat and comb waveform synthesis",
+    "analyze": "read the charge from an interferogram image",
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand, or only `command`.
+
+    A parser built for one command parses, helps and fails on that command
+    as the full one does; its metavar keeps every command in the usage line.
+    """
     parser = argparse.ArgumentParser(
         prog="vortexcascade",
         description="Vortex-beam Raman sideband simulator and interferogram analyzer",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="path to a key = value config file")
-        p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, help="random seed override")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one config key (repeatable)",
-        )
-
-    add_common(sub.add_parser("comb", help="write the sideband ladder to comb.csv"))
-    add_common(sub.add_parser("figure3", help="render sideband and fork images, read charges"))
-    add_common(sub.add_parser("pulse", help="chirped-pair beat and comb waveform synthesis"))
-
-    pa = sub.add_parser("analyze", help="read the charge from an interferogram image")
-    pa.add_argument("image", help="P5 PGM interferogram")
-    pa.add_argument(
-        "--carrier-sign",
-        type=int,
-        choices=(1, -1),
-        default=1,
-        help="sign of the angle between the interfering beams (default +1)",
-    )
-    pa.add_argument("--out", default="out", help="output directory (default: out)")
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        p = sub.add_parser(name, help=COMMANDS[name])
+        if name == "analyze":
+            p.add_argument("image", help="P5 PGM interferogram")
+            p.add_argument(
+                "--carrier-sign",
+                type=int,
+                choices=(1, -1),
+                default=1,
+                help="sign of the angle between the interfering beams (default +1)",
+            )
+            p.add_argument("--out", default="out", help="output directory (default: out)")
+        else:
+            p.add_argument("--config", help="path to a key = value config file")
+            p.add_argument("--out", default="out", help="output directory (default: out)")
+            p.add_argument("--seed", type=int, help="random seed override")
+            p.add_argument(
+                "--set",
+                action="append",
+                default=[],
+                metavar="KEY=VALUE",
+                help="override one config key (repeatable)",
+            )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command named first is the only subcommand the parser needs; anything
+    # else (help, a typo, nothing) gets every subcommand for its message
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         outdir = Path(args.out)
         if args.command == "analyze":

@@ -19,7 +19,7 @@ between the beams is known.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +35,8 @@ TWO_PI = 2.0 * math.pi
 # focal-plane sampling of every order: the synthetic aperture is this many
 # times the source frame (see PanelGeometry)
 OVERSAMPLE = 4
+# side, in bins, of the blocks whose summed power locates a carrier's sideband
+POOL = 4
 
 
 def _wrap(a):
@@ -94,16 +96,25 @@ def _coarse_samples_in(lo: int, hi: int, n: int, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Interferogram:
-    """Non-negative intensity grid plus carrier-tilt metadata."""
+    """Non-negative intensity grid plus carrier-tilt metadata.
+
+    The intensity is frozen: a read-only copy of what was passed, or, with
+    adopt=True, the passed float64 array itself made read-only. adopt is for
+    an array its caller has just made and holds no other view of, such as a
+    decoded image, so no reference left outside can change it.
+    """
 
     spec: GridSpec
     intensity: np.ndarray
     carrier: tuple[float, float]  # (angle_x, angle_y) radians of relative tilt
     wavelength: float
     label: SidebandLabel | None = None
+    adopt: InitVar[bool] = False
 
-    def __post_init__(self):
-        vals = np.array(self.intensity, dtype=np.float64, copy=True)
+    def __post_init__(self, adopt: bool):
+        vals = self.intensity
+        if not (adopt and isinstance(vals, np.ndarray) and vals.dtype == np.float64):
+            vals = np.array(vals, dtype=np.float64, copy=True)
         if vals.shape != (self.spec.ny, self.spec.nx):
             raise ValueError(
                 f"intensity shape {vals.shape} does not match grid "
@@ -256,6 +267,20 @@ def _dc_radius(spectrum: np.ndarray, nx: int, ny: int) -> int | None:
         k *= 2
 
 
+def _pool(a: np.ndarray, k: int) -> np.ndarray:
+    """Sums of a over k x k blocks from index (0, 0); the last row and column
+    of blocks are partial where k does not divide the shape."""
+    rows = a[0::k].copy()
+    for j in range(1, k):
+        part = a[j::k]
+        rows[: part.shape[0]] += part
+    out = rows[:, 0::k].copy()
+    for j in range(1, k):
+        part = rows[:, j::k]
+        out[:, : part.shape[1]] += part
+    return out
+
+
 def detect_carrier(gram: Interferogram, sign_hint: int = 1) -> tuple[float, float] | None:
     """Carrier angles from the dominant off-axis spectral peak, or None.
 
@@ -266,20 +291,22 @@ def detect_carrier(gram: Interferogram, sign_hint: int = 1) -> tuple[float, floa
 
     The baseband lobe is found on boxes around DC that grow until its
     radial max-profile has quieted (_dc_radius); the rest of the open
-    half-plane is gathered once, in row-major order. A pattern whose peak
-    is under ten times the median of that band has no carrier; the gate
-    counts the values whose tenfold exceeds the peak and needs the median
-    itself only when exactly half of an even-sized band does
-    (_below_tenfold_median). Neither shortcut changes a result: maxima
-    and the gate's comparisons are exact.
+    half-plane is the band. A pattern whose peak is under ten times the
+    median of the band has no carrier; the gate counts the values whose
+    tenfold exceeds the peak and needs the median itself only when exactly
+    half of an even-sized band does (_below_tenfold_median).
+
+    The sideband is found where the band's power, summed over POOL x POOL
+    blocks, is largest; its strongest bin p is the peak. The carrier is the
+    centroid of the power above the noise floor (the median block sum per
+    bin) over the bins of the full plane within |p|/2 of the peak and
+    outside the baseband lobe; bins at negative fx are read as their
+    mirrors. A fork's sideband is a ring or disc centred on the carrier, so
+    its centroid is the carrier; the noise floor, spread over the whole
+    band, moves it only through its fluctuations inside the disc.
     """
     ny, nx = gram.intensity.shape
     spectrum = np.abs(gram.half_spectrum)
-    # The baseband envelope lobe can out-shine the carrier well past DC, so
-    # exclude it adaptively (see _dc_radius), then place the carrier at the
-    # power centroid of the remaining half-plane (the sideband of a fork
-    # pattern is a plateau or donut around the carrier, which defeats
-    # simple argmax).
     r_dc = _dc_radius(spectrum, nx, ny)
     if r_dc is None:
         return None
@@ -288,20 +315,38 @@ def detect_carrier(gram: Interferogram, sign_hint: int = 1) -> tuple[float, floa
     # the open half-plane of the full spectrum: bx in (0, nx/2), or bx = 0
     # with by > 0 (the column bx = nx/2 of an even frame is its own mirror)
     band = (bx**2 >= r_dc**2 - by**2) & (((bx > 0) & (2 * bx < nx)) | ((bx == 0) & (by > 0)))
-    values = spectrum[band]  # row-major order fixes the centroid sums' rounding
+    values = spectrum[band]
     if values.size == 0:
         return None
     peak_val = float(np.max(values))
     if peak_val <= 0 or _below_tenfold_median(peak_val, values):
         return None
-    power = np.square(values, out=values)
-    total = float(np.sum(power))
-    # each bin's signed frequency, gathered like the values and then
-    # weighted by its power in place
-    weight = np.broadcast_to(bx.astype(float), band.shape)[band]
-    fx = float(np.sum(np.multiply(weight, power, out=weight)) / total) / (nx * gram.spec.dx)
-    weight = np.broadcast_to(by.astype(float), band.shape)[band]
-    fy = float(np.sum(np.multiply(weight, power, out=weight)) / total) / (ny * gram.spec.dy)
+    power = np.square(spectrum, out=spectrum)
+    power *= band
+    pooled = _pool(power, POOL)
+    iy, ix = np.unravel_index(int(np.argmax(pooled)), pooled.shape)
+    block = power[iy * POOL : (iy + 1) * POOL, ix * POOL : (ix + 1) * POOL]
+    jy, jx = np.unravel_index(int(np.argmax(block)), block.shape)
+    py, px = int(by[iy * POOL + jy, 0]), ix * POOL + jx
+    floor = float(np.median(pooled)) / POOL**2
+    # the disc 4*|b - p|^2 <= |p|^2 in integers, and its box in signed bins
+    # within the frame's unaliased range
+    reach2 = px * px + py * py
+    reach = math.isqrt(reach2 // 4)
+    ys = np.arange(max(py - reach, -(ny // 2)), min(py + reach, (ny - 1) // 2) + 1)
+    xs = np.arange(max(px - reach, -((nx - 1) // 2)), min(px + reach, (nx - 1) // 2) + 1)
+    # the band holds bx > 0 and, at bx = 0, by > 0; the rest are mirrors
+    mirror = (xs[None, :] < 0) | ((xs[None, :] == 0) & (ys[:, None] < 0))
+    cols = np.abs(xs)
+    patch = np.where(mirror, power[np.ix_(-ys % ny, cols)], power[np.ix_(ys % ny, cols)])
+    r2 = xs[None, :] ** 2 + ys[:, None] ** 2
+    inside = (4 * ((xs[None, :] - px) ** 2 + (ys[:, None] - py) ** 2) <= reach2) & (r2 >= r_dc**2)
+    weight = np.where(inside, patch - floor, 0.0)
+    total = float(np.sum(weight))
+    if total <= 0:
+        return None
+    fx = float(np.sum(weight, axis=0) @ xs / total) / (nx * gram.spec.dx)
+    fy = float(np.sum(weight, axis=1) @ ys / total) / (ny * gram.spec.dy)
     if sign_hint < 0:
         fx, fy = -fx, -fy
     return (fx * gram.wavelength, fy * gram.wavelength)
@@ -314,7 +359,9 @@ def _demodulate(gram: Interferogram, carrier: tuple[float, float]):
     Kobayashi, JOSA 72, 156, 1982). The sideband is band-limited to
     r_mask = |carrier|/2 bins around the carrier, so only an M x M patch of
     the half spectrum is kept around the carrier and another around DC, with
-    M = min(n, next power of two >= 4*r_mask) per axis. Each patch gets the
+    M = min(n, next power of two >= 2*|c|) per axis, where |c| is the
+    distance of the carrier's nearest integer bin from DC (r_mask and the
+    window keep the fractional carrier). Each patch gets the
     raised-cosine window of radius r_mask and an M-point inverse FFT; bins
     at negative kx are read as the conjugate of their mirror. D is the
     complex interference term with the carrier ramp removed (conj(V)*R for
@@ -333,7 +380,9 @@ def _demodulate(gram: Interferogram, carrier: tuple[float, float]):
     if c_mag < 3.0:
         raise ValueError("carrier too close to DC to demodulate")
     r_mask = 0.5 * c_mag
-    crop = 1 << math.ceil(math.log2(4.0 * r_mask))
+    # sized from the nearest integer bin, so a carrier a hair past a power
+    # of two (a detected 32.000002 bins) keeps the crop of the exact one
+    crop = 1 << math.ceil(math.log2(2.0 * math.hypot(round(cbx), round(cby))))
     mx, my = min(spec.nx, crop), min(spec.ny, crop)
     coarse = GridSpec(nx=mx, ny=my, dx=spec.dx * spec.nx / mx, dy=spec.dy * spec.ny / my)
     half = gram.half_spectrum
@@ -504,8 +553,10 @@ def extract_charge(
 
     Everything after the demodulation runs on its coarse grid (see
     _demodulate): core candidates, ring radius, windings and the visibility
-    band, at pitch dx*nx/M with M = min(n, next power of two >= 2*|carrier|
-    in bins), e.g. 64 x 64 samples for a 32-fringe carrier at 256 or 512.
+    band, at pitch dx*nx/M with M = min(n, next power of two >= 2*|c|),
+    |c| the distance in bins of the carrier's nearest integer bin from DC:
+    64 x 64 samples for a 32-fringe carrier at 256 or 512, whether given or
+    detected.
     """
     if carrier is None:
         carrier = gram.carrier

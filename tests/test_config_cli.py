@@ -1,5 +1,6 @@
 """Configuration parsing, CLI subcommands, and file formats."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -17,6 +18,7 @@ from vortexcascade import cli
 from vortexcascade.cli import main
 from vortexcascade.config import RunConfig, load_config, parse_config_text
 from vortexcascade.errors import ConfigError
+from vortexcascade.interferometry import extract_charge
 from vortexcascade.pgmio import read_pgm16, write_pgm16
 
 
@@ -443,11 +445,108 @@ class TestAnalyzeCommand:
         bad.write_bytes(b"not a pgm at all")
         assert main(["analyze", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_image_read_once_and_not_copied(self, figure_dir, tmp_path, monkeypatch):
+        # cmd_analyze hands read_pgm16's fresh array to the Interferogram,
+        # which freezes it in place instead of copying it
+        read, grams = [], []
+
+        def reading(path):
+            read.append(read_pgm16(path))
+            return read[-1]
+
+        def extracting(gram, **kwargs):
+            grams.append(gram)
+            return extract_charge(gram, **kwargs)
+
+        monkeypatch.setattr(cli, "read_pgm16", reading)
+        monkeypatch.setattr(cli, "extract_charge", extracting)
+        assert main(["analyze", str(figure_dir / "fork_AS1.pgm"), "--out", str(tmp_path)]) == 0
+        (image,), (gram,) = read, grams
+        assert gram.intensity is image and not image.flags.writeable
+
     def test_analysis_csv_written(self, figure_dir, tmp_path):
         assert main(["analyze", str(figure_dir / "fork_P.pgm"), "--out", str(tmp_path)]) == 0
         rows = read_csv(tmp_path / "analysis.csv")
         assert rows[0]["image"] == "fork_P.pgm"
         assert rows[0]["ell"] == "1"
+
+
+class TestParser:
+    """main builds only the named subcommand; what it prints is unchanged."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["comb", "--help"], ["figure3", "-h"], ["pulse", "--help"], ["analyze", "-h"],
+        [], ["bogus"], ["analyze"], ["analyze", "x.pgm", "--carrier-sign", "2"],
+        ["figure3", "--bogus"], ["comb", "--seed", "x"], ["pulse", "--set"], ["analyze", "a", "b"],
+    ])
+    def test_help_and_usage_errors_equal_full_parser(self, argv, capsys):
+        # oracle: the parser with every subcommand, as main built it before
+        with pytest.raises(SystemExit) as full:
+            cli.build_parser().parse_args(argv)
+        expect = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert got.value.code == full.value.code == (0 if {"-h", "--help"} & set(argv) else 2)
+        assert capsys.readouterr() == expect
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert "usage: vortexcascade [-h] {comb,figure3,pulse,analyze} ..." in out
+        for name, help_line in cli.COMMANDS.items():
+            assert re.search(rf"^\s+{name}\s+{re.escape(help_line)}$", out, re.M), name
+
+    def test_only_the_named_subcommand_is_built(self, tmp_path, monkeypatch):
+        built = []
+        original = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            built.append(name)
+            return original(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        flat = tmp_path / "flat.pgm"
+        write_pgm16(flat, np.full((64, 64), 0.5))
+        assert main(["analyze", str(flat), "--out", str(tmp_path)]) == 0
+        assert built == ["analyze"]
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert built[1:] == ["comb", "figure3", "pulse", "analyze"]
+
+
+class TestNoisyForksThroughFiles:
+    """figure3 --seed 7 --set noise=0.03, each fork read back by analyze."""
+
+    LADDER = {"S2": -5, "S1": -3, "S": -1, "P": 1, "AS1": 3, "AS2": 5}
+
+    def readings(self, out, tmp_path, capsys):
+        capsys.readouterr()  # figure3's summary
+        got = {}
+        for label in self.LADDER:
+            assert main(["analyze", str(out / f"fork_{label}.pgm"), "--out", str(tmp_path)]) == 0
+            m = re.match(r"ell=([+-]\d+) confidence=([0-9.]+) ", capsys.readouterr().out)
+            got[label] = (int(m.group(1)), float(m.group(2)))
+        return got
+
+    def test_default_grid_reads_right_or_flags(self, tmp_path, capsys):
+        # 512^2: P's sideband lies inside the baseband lobe the carrier search
+        # excludes, so the tenfold-median gate returns P with confidence 0;
+        # every other fork reads its ladder charge
+        out = tmp_path / "fig"
+        assert main(["figure3", "--out", str(out), "--seed", "7", "--set", "noise=0.03"]) == 0
+        got = self.readings(out, tmp_path, capsys)
+        for label, ell in self.LADDER.items():
+            assert got[label][0] == ell or got[label][1] == 0.0, (label, got[label])
+        assert sum(got[label][0] == ell for label, ell in self.LADDER.items()) >= 5
+
+    def test_256_grid_reads_every_fork(self, tmp_path, capsys):
+        out = tmp_path / "fig"
+        argv = ["figure3", "--out", str(out), "--seed", "7", "--set", "noise=0.03",
+                "--set", "grid_n=256", "--set", "grid_pitch_um=50"]
+        assert main(argv) == 0
+        got = self.readings(out, tmp_path, capsys)
+        assert {label: ell for label, (ell, _) in got.items()} == self.LADDER
 
 
 class TestImport:
