@@ -227,6 +227,14 @@ def spatial_sideband(
     mirror it, so the measured charge of the output always matches the integer
     ladder rule. The result is normalized to unit power and tagged with the
     ladder frequency derived from the input wavelengths.
+
+    The product is built in place in the two scaled copies of the inputs,
+    with one magnitude buffer for the sums. Each step is the elementwise
+    operation that p_hat**a * conj(s_hat)**b / sqrt(power) (or its Stokes
+    mirror) performs, so the result equals that expression bit for bit. The
+    powers use the **= operator, which takes numpy's fast paths for small
+    exponents as ** does; np.power(x, n, out=x) does not, and can differ in
+    the last bit.
     """
     if pump_field.spec != stokes_field.spec:
         raise GridMismatchError(
@@ -240,25 +248,34 @@ def spatial_sideband(
     s_hat = stokes_field.values / max(float(np.abs(stokes_field.values).max()), 1e-300)
     if k >= 1:
         a, b = k, k - 1
-        product = p_hat**a * np.conj(s_hat) ** b
+        np.conj(s_hat, out=s_hat)
     else:
         a, b = -k, 1 - k
-        product = np.conj(p_hat) ** a * s_hat**b
+        np.conj(p_hat, out=p_hat)
     area = pump_field.spec.cell_area
-    power = float(np.sum(np.abs(product) ** 2)) * area
     # Scale-free overlap: Cauchy-Schwarz ratio of the two factor magnitudes;
     # 1 when the pump and Stokes intensities coincide, ~0 when disjoint.
-    pump_sq = float(np.sum(np.abs(p_hat) ** (4 * a))) * area
-    stokes_sq = float(np.sum(np.abs(s_hat) ** (4 * b))) * area
+    magnitude = np.abs(p_hat)
+    magnitude **= 4 * a
+    pump_sq = float(np.sum(magnitude)) * area
+    np.abs(s_hat, out=magnitude)
+    magnitude **= 4 * b
+    stokes_sq = float(np.sum(magnitude)) * area
+    p_hat **= a
+    s_hat **= b
+    product = p_hat
+    product *= s_hat
+    np.abs(product, out=magnitude)
+    magnitude **= 2
+    power = float(np.sum(magnitude)) * area
     overlap = power / max(math.sqrt(pump_sq * stokes_sq), 1e-300)
     if power < 1e-300 or overlap < 1e-12:
         raise DegenerateOverlapError(
             f"beams do not overlap enough to source {label} "
             f"(overlap measure {overlap:.2e})"
         )
-    return ComplexFieldGrid(
-        pump_field.spec, wavelength_from_omega(omega), product / math.sqrt(power)
-    )
+    product /= math.sqrt(power)
+    return ComplexFieldGrid(pump_field.spec, wavelength_from_omega(omega), product)
 
 
 def observed_sideband(

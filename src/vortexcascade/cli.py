@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import ConfigError, NonPeriodicError, VortexCascadeError
 from .grids import GridSpec
 from .interferometry import (
     Interferogram,
+    OrderResult,
     PanelGeometry,
     analyze_order_panel,
     extract_charge,
@@ -136,16 +138,23 @@ def cmd_figure3(cfg: RunConfig, outdir: Path) -> int:
         seed=cfg.seed,
     )
     orders = [SidebandLabel.from_ladder_index(k) for k in range(-raman.max_s, raman.max_as + 2)]
-    results = analyze_order_panel(raman, geometry, orders)
 
-    outdir.mkdir(parents=True, exist_ok=True)
+    def write_images(res: OrderResult) -> OrderResult:
+        # each order's images go to disk as soon as it is read, so the panel
+        # never holds more than one order's arrays; the directory is made by
+        # the first order, so a panel that fails before any order leaves none
+        outdir.mkdir(parents=True, exist_ok=True)
+        if res.ok:
+            write_pgm16(outdir / f"beam_{res.label}.pgm", res.beam_intensity)
+            write_pgm16(outdir / f"fork_{res.label}.pgm", res.fork_intensity)
+        return replace(res, beam_intensity=None, fork_intensity=None)
+
+    results = analyze_order_panel(raman, geometry, orders, sink=write_images)
     rows = []
     any_ok = False
     for res in results:
         if res.ok:
             any_ok = True
-            write_pgm16(outdir / f"beam_{res.label}.pgm", res.beam_intensity)
-            write_pgm16(outdir / f"fork_{res.label}.pgm", res.fork_intensity)
             rows.append(
                 [
                     str(res.label),

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
+from typing import Any, Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -725,7 +726,8 @@ def analyze_order_panel(
     cfg: RamanConfig,
     geometry: PanelGeometry,
     orders: list[SidebandLabel],
-) -> list[OrderResult]:
+    sink: Callable[[OrderResult], Any] | None = None,
+) -> list:
     """Full per-order pipeline: sidebands of a vortex set and an ell=0
     reference set, observed in the focal plane, interfered, and read out.
 
@@ -735,6 +737,12 @@ def analyze_order_panel(
     Where a set's two seeds are one array, orders k and 1 - k share one
     observed field (see observed_sideband). The orders run pair by pair, so
     a shared field is held only until the last order of its pair takes it.
+
+    sink, when given, is called with each order's OrderResult as soon as
+    that order is read, in pair order (for k = -2..3: S2, AS2, S1, AS1, S,
+    P), and the list holds what it returns in place of the result; a sink
+    that drops the images keeps only one order's arrays alive at a time.
+    An exception the sink raises is not an order failure: it propagates.
     """
     lam_p = wavelength_from_omega(cfg.omega_p)
     lam_s = wavelength_from_omega(cfg.omega_s)
@@ -766,34 +774,39 @@ def analyze_order_panel(
             shared[s] = field
         return field
 
+    def read(label: SidebandLabel, shared: dict, last: bool) -> OrderResult:
+        # the order's fields and gram die with this frame, before the next
+        # order's sidebands are made
+        try:
+            vortex = observe(0, label, shared, last)
+            reference = observe(1, label, shared, last)
+            tilt = geometry.fringe_count() * vortex.wavelength / (
+                vortex.spec.nx * vortex.spec.dx
+            )
+            gram = synthesize_interferogram(
+                vortex, reference, tilt, geometry.offset_y, label=label
+            )
+            if geometry.noise_fraction > 0.0:
+                rng = np.random.default_rng((geometry.seed, label.k + 10_000))
+                gram = add_intensity_noise(gram, geometry.noise_fraction, rng)
+            return OrderResult(
+                label=label,
+                status="ok",
+                reading=extract_charge(gram),
+                beam_intensity=vortex.intensity(),
+                fork_intensity=gram.intensity,
+            )
+        except (VortexCascadeError, ValueError) as exc:
+            return OrderResult(label=label, status=f"error: {exc}")
+
     pairs: dict[int, list[int]] = {}
     for i, label in enumerate(orders):
         pairs.setdefault(min(label.k, 1 - label.k), []).append(i)
-    results: list[OrderResult | None] = [None] * len(orders)
+    results: list = [None] * len(orders)
     for members in pairs.values():
         shared: dict[int, ComplexFieldGrid] = {}  # set index -> this pair's field
         for i in members:
-            label, last = orders[i], i == members[-1]
-            try:
-                vortex = observe(0, label, shared, last)
-                reference = observe(1, label, shared, last)
-                tilt = geometry.fringe_count() * vortex.wavelength / (
-                    vortex.spec.nx * vortex.spec.dx
-                )
-                gram = synthesize_interferogram(
-                    vortex, reference, tilt, geometry.offset_y, label=label
-                )
-                if geometry.noise_fraction > 0.0:
-                    rng = np.random.default_rng((geometry.seed, label.k + 10_000))
-                    gram = add_intensity_noise(gram, geometry.noise_fraction, rng)
-                reading = extract_charge(gram)
-                results[i] = OrderResult(
-                    label=label,
-                    status="ok",
-                    reading=reading,
-                    beam_intensity=vortex.intensity(),
-                    fork_intensity=gram.intensity,
-                )
-            except (VortexCascadeError, ValueError) as exc:
-                results[i] = OrderResult(label=label, status=f"error: {exc}")
+            results[i] = read(orders[i], shared, last=i == members[-1])
+            if sink is not None:
+                results[i] = sink(results[i])
     return results

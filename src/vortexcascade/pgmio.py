@@ -50,7 +50,7 @@ def read_pgm16(path) -> np.ndarray:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = nx * ny
-    data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
-    if data.size != count:
+    if len(raw) < pos + count * dtype.itemsize:  # np.frombuffer's own error names no file
         raise ValueError(f"{path}: truncated pixel data")
+    data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
     return data.reshape(ny, nx).astype(np.float64) / float(maxval)

@@ -198,6 +198,68 @@ class TestConservation:
             conservation_check(make_config(), 0)
 
 
+def spatial_sideband_oracle(pump, stokes, label):
+    """The source values as spatial_sideband computed them before it worked in place."""
+    k = label.k
+    p_hat = pump.values / max(float(np.abs(pump.values).max()), 1e-300)
+    s_hat = stokes.values / max(float(np.abs(stokes.values).max()), 1e-300)
+    if k >= 1:
+        a, b = k, k - 1
+        product = p_hat**a * np.conj(s_hat) ** b
+    else:
+        a, b = -k, 1 - k
+        product = np.conj(p_hat) ** a * s_hat**b
+    area = pump.spec.cell_area
+    power = float(np.sum(np.abs(product) ** 2)) * area
+    pump_sq = float(np.sum(np.abs(p_hat) ** (4 * a))) * area
+    stokes_sq = float(np.sum(np.abs(s_hat) ** (4 * b))) * area
+    overlap = power / max(math.sqrt(pump_sq * stokes_sq), 1e-300)
+    if power < 1e-300 or overlap < 1e-12:
+        raise DegenerateOverlapError(
+            f"beams do not overlap enough to source {label} "
+            f"(overlap measure {overlap:.2e})"
+        )
+    return product / math.sqrt(power)
+
+
+class TestSourceMatchesOracle:
+    """spatial_sideband builds its source in place, bit for bit the oracle's."""
+
+    def seeds(self, n, ell_p, ell_s):
+        spec = GridSpec.square(n, 6.4e-3 / n)
+        lam_p = wavelength_from_omega(make_config().omega_p)
+        lam_s = wavelength_from_omega(make_config().omega_s)
+        pump = lg_mode_field(LGModeIndex(0, ell_p), BeamParams(0.8e-3, lam_p), spec)
+        if ell_s is None:  # one array for both seeds, as figure3's balanced sets
+            return pump, pump.with_wavelength(lam_s)
+        return pump, lg_mode_field(LGModeIndex(0, ell_s), BeamParams(0.8e-3, lam_s), spec)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("ell_p,ell_s", [(1, -1), (0, 0), (2, -3), (-1, 2), (1, None)])
+    def test_bits_equal_oracle(self, n, ell_p, ell_s):
+        pump, stokes = self.seeds(n, ell_p, ell_s)
+        assert (ell_s is None) == (pump.values is stokes.values)
+        inputs = pump.values.copy(), stokes.values.copy()
+        for k in range(-3, 5):
+            label = SidebandLabel.from_ladder_index(k)
+            out = spatial_sideband(pump, stokes, label)
+            expected = spatial_sideband_oracle(pump, stokes, label)
+            assert np.array_equal(out.values.view(np.uint64), expected.view(np.uint64)), k
+            for seed, before in zip((pump, stokes), inputs):
+                assert np.array_equal(seed.values.view(np.uint64), before.view(np.uint64)), k
+
+    def test_disjoint_beams_refused_with_oracle_message(self):
+        pump, stokes = self.seeds(256, 0, 0)
+        shifted = pump.with_values(np.roll(pump.values, 128, axis=1))
+        for k in (-2, 3):
+            label = SidebandLabel.from_ladder_index(k)
+            with pytest.raises(DegenerateOverlapError) as expected:
+                spatial_sideband_oracle(shifted, stokes, label)
+            with pytest.raises(DegenerateOverlapError) as got:
+                spatial_sideband(shifted, stokes, label)
+            assert str(got.value) == str(expected.value)
+
+
 class TestSpatialSideband:
     def setup_method(self):
         self.spec = GridSpec.square(256, 25e-6)

@@ -196,6 +196,7 @@ class TestCombCommand:
             "comb": ["comb", "--set", "bogus=1"],
             "pulse": ["pulse", "--set", "match=true", "--set", "chirp_b=-1e26"],
             "analyze": ["analyze", str(tiny)],
+            "figure3": ["figure3", "--set", "grid_n=4"],
         }
         for name, args in refused.items():
             out = tmp_path / f"out_{name}"
@@ -260,8 +261,44 @@ class TestFigure3Command:
         assert by_label["P"]["status"] == "ok"
 
     def test_unresolvable_waist_exits_one(self, tmp_path):
-        args = ["figure3", "--out", str(tmp_path)] + FAST_FIGURE3 + ["--set", "waist_mm=0.05"]
+        # the seeds fail before any order is read, so no directory is made
+        out = tmp_path / "out"
+        args = ["figure3", "--out", str(out)] + FAST_FIGURE3 + ["--set", "waist_mm=0.05"]
         assert main(args) == 1
+        assert not out.exists()
+
+    def test_orders_written_as_their_pairs_finish(self, tmp_path, monkeypatch):
+        # each order's two images are on disk before the next order is read
+        seen = []
+        original = cli.analyze_order_panel
+
+        def panel(cfg, geometry, orders, sink=None):
+            def watching(res):
+                seen.append(sorted(p.name for p in tmp_path.glob("*.pgm")))
+                return sink(res)
+
+            return original(cfg, geometry, orders, sink=watching)
+
+        monkeypatch.setattr(cli, "analyze_order_panel", panel)
+        assert main(["figure3", "--out", str(tmp_path)] + FAST_FIGURE3) == 0
+        written = []
+        for label in ("S2", "AS2", "S1", "AS1", "S", "P"):
+            assert seen.pop(0) == sorted(written), label
+            written += [f"beam_{label}.pgm", f"fork_{label}.pgm"]
+        assert sorted(p.name for p in tmp_path.glob("*.pgm")) == sorted(written)
+
+    def test_default_panel_holds_one_order_at_a_time(self, tmp_path):
+        # 512², 6 orders: before images were written as each pair finished,
+        # every order's beam and fork (4 MB per order) stayed alive until the
+        # whole panel was read, and the peak was 64-67 MB
+        tracemalloc.start()
+        try:
+            code = main(["figure3", "--set", "noise=0.03", "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 48e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestPulseCommand:
@@ -444,6 +481,15 @@ class TestAnalyzeCommand:
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(b"not a pgm at all")
         assert main(["analyze", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_truncated_image_named(self, tmp_path, capsys):
+        short = tmp_path / "short.pgm"
+        for maxval, payload in ((65535, bytes(2 * 16 * 16 - 1)), (255, bytes(16 * 16 - 1))):
+            short.write_bytes(f"P5\n16 16\n{maxval}\n".encode("ascii") + payload)
+            out = tmp_path / "out"
+            assert main(["analyze", str(short), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {short}: truncated pixel data\n"
+            assert not out.exists()
 
     def test_image_read_once_and_not_copied(self, figure_dir, tmp_path, monkeypatch):
         # cmd_analyze hands read_pgm16's fresh array to the Interferogram,

@@ -847,6 +847,57 @@ class TestOrderPanel:
             assert np.all(r.fork_intensity >= 0)
 
 
+class TestPanelSink:
+    """analyze_order_panel hands each order to a sink as soon as it is read."""
+
+    def geometry(self):
+        return PanelGeometry(spec=GridSpec.square(128, 100e-6), waist=1e-3)
+
+    def test_sink_sees_each_order_once_in_pair_order(self):
+        # S39 is past the end of the ladder: its error reaches the sink too
+        orders = [SidebandLabel.stokes_order(39)] + [
+            SidebandLabel.from_ladder_index(k) for k in range(-2, 4)
+        ]
+        seen = []
+
+        def summary(res):
+            return str(res.label), res.status, res.reading.ell if res.ok else None
+
+        def sink(res):
+            seen.append(res)
+            return summary(res)
+
+        results = analyze_order_panel(panel_config(1, -1), self.geometry(), orders, sink=sink)
+        assert [str(r.label) for r in seen] == ["S39", "S2", "AS2", "S1", "AS1", "S", "P"]
+        assert seen[0].status.startswith("error: ")
+        assert all(r.ok and r.beam_intensity is not None for r in seen[1:])
+        by_label = {r.label: r for r in seen}
+        assert results == [summary(by_label[label]) for label in orders]
+        assert [ell for _, _, ell in results[1:]] == [-5, -3, -1, 1, 3, 5]
+
+    def test_list_holds_what_the_sink_returned(self):
+        returned = []
+
+        def sink(res):
+            returned.append(object())
+            return returned[-1]
+
+        results = analyze_order_panel(panel_config(1, 1), self.geometry(), ORDERS, sink=sink)
+        # ORDERS runs AS2 S2, AS1 S1, P S: pairs in first-seen order
+        assert [id(r) for r in results] == [id(returned[i]) for i in (0, 2, 4, 5, 3, 1)]
+
+    def test_sink_exception_propagates(self):
+        calls = []
+
+        def sink(res):
+            calls.append(res.label)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            analyze_order_panel(panel_config(1, -1), self.geometry(), ORDERS, sink=sink)
+        assert calls == [ORDERS[0]]
+
+
 class TestMirroredOrdersShareFields:
     """Orders k and 1 - k share one observed field where a set's seeds are one array."""
 
