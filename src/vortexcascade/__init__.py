@@ -1,8 +1,7 @@
 """Coherent orbital-angular-momentum transfer in cascaded Raman sideband
-generation: vortex-beam construction and metrology, phase-plate and mirror
-optics, the sideband frequency/charge selection rules, double-source fork
-interferograms with automated charge readout, and chirped-pulse/comb
-temporal synthesis."""
+generation: vortex-beam construction, spiral phase plates, the sideband
+frequency/charge selection rules, double-source fork interferograms with
+automated charge readout, and chirped-pulse/comb temporal synthesis."""
 
 from .beams import (
     BeamParams,
@@ -11,8 +10,6 @@ from .beams import (
     far_field,
     gaussian_field,
     lg_mode_field,
-    measure_charge_circulation,
-    propagate,
     ring_radius,
 )
 from .cascade import (
@@ -30,14 +27,9 @@ from .cascade import (
     spatial_sideband,
 )
 from .elements import (
-    ReflectionParity,
     SppSpec,
-    apply_lens,
-    apply_mirror,
     apply_spp,
-    apply_tilt,
     crystal_charges,
-    path_charge,
 )
 from .grids import ComplexFieldGrid, GridSpec
 from .interferometry import (
@@ -57,7 +49,6 @@ from .pulses import (
     TimeGrid,
     beat_frequency,
     chirped_pair_field,
-    envelope_modulation_frequency,
     synthesize_waveform,
     train_period,
 )
@@ -76,7 +67,6 @@ __all__ = [
     "OrderResult",
     "PanelGeometry",
     "RamanConfig",
-    "ReflectionParity",
     "SidebandKind",
     "SidebandLabel",
     "SpectralComb",
@@ -84,10 +74,7 @@ __all__ = [
     "TimeGrid",
     "add_intensity_noise",
     "analyze_order_panel",
-    "apply_lens",
-    "apply_mirror",
     "apply_spp",
-    "apply_tilt",
     "beat_frequency",
     "build_comb",
     "cascade_phase_recursion",
@@ -95,17 +82,13 @@ __all__ = [
     "conservation_check",
     "crystal_charges",
     "decompose",
-    "envelope_modulation_frequency",
     "extract_charge",
     "far_field",
     "fork_fringe_count",
     "fringe_visibility",
     "gaussian_field",
     "lg_mode_field",
-    "measure_charge_circulation",
     "observed_sideband",
-    "path_charge",
-    "propagate",
     "ring_radius",
     "sideband_charge",
     "sideband_frequency",

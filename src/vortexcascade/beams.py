@@ -1,10 +1,10 @@
-"""Laguerre-Gaussian beams: construction, decomposition, propagation, metrology.
+"""Laguerre-Gaussian beams at the waist: construction, decomposition,
+focal-plane mapping, ring radius and circle sampling.
 
 Phase convention: azimuthal factor exp(+i*ell*theta) with theta counter-
 clockwise in the (x, y) plane viewed along +z, paired with the exp(-i*omega*t)
-time convention, so free-space propagation multiplies the angular spectrum by
-exp(+i*kz*z) and a beam diverging from its waist carries exp(+i*k*r^2/(2R)).
-The plane-wave carrier exp(i*k*z) is omitted from returned fields.
+time convention. The plane-wave carrier exp(i*k*z) is omitted from returned
+fields.
 """
 
 from __future__ import annotations
@@ -14,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, AmbiguousCirculationError, ResolutionError
+from .errors import ResolutionError
 from .grids import ComplexFieldGrid, GridSpec
-
-# Spectral energy fraction used to find the band a field actually occupies;
-# the propagation aliasing guard only inspects the transfer function there.
-_BAND_ENERGY_TAIL = 1.0e-8
 
 
 @dataclass(frozen=True)
@@ -47,10 +43,6 @@ class BeamParams:
         if self.wavelength <= 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
 
-    @property
-    def rayleigh_range(self) -> float:
-        return math.pi * self.waist_w0**2 / self.wavelength
-
 
 def _laguerre(p: int, a: int, x: np.ndarray) -> np.ndarray:
     """Generalized Laguerre polynomial L_p^a(x), by the three-term recurrence
@@ -64,13 +56,8 @@ def _laguerre(p: int, a: int, x: np.ndarray) -> np.ndarray:
     return cur
 
 
-def lg_mode_field(
-    index: LGModeIndex,
-    beam: BeamParams,
-    spec: GridSpec,
-    z: float = 0.0,
-) -> ComplexFieldGrid:
-    """Sample the normalized LG_p^ell mode at distance z from the waist.
+def lg_mode_field(index: LGModeIndex, beam: BeamParams, spec: GridSpec) -> ComplexFieldGrid:
+    """Sample the normalized LG_p^ell mode at its waist.
 
     The continuous mode is unit-power; the discrete sum inherits that within
     discretization error (no renormalization is applied).
@@ -83,31 +70,23 @@ def lg_mode_field(
     p, ell = index.p, index.ell
     a = abs(ell)
     w0 = beam.waist_w0
-    zr = beam.rayleigh_range
-    wz = w0 * math.sqrt(1.0 + (z / zr) ** 2)
-    k = 2.0 * math.pi / beam.wavelength
 
     xx, yy = spec.meshes()
     r2 = xx**2 + yy**2
-    rho = np.sqrt(2.0 * r2) / wz
+    rho = np.sqrt(2.0 * r2) / w0
 
     # sqrt(2 p! / (pi (p+|ell|)!)) via log-gamma for numerical stability
     norm = math.sqrt(2.0 / math.pi) * math.exp(
         0.5 * (math.lgamma(p + 1) - math.lgamma(p + a + 1))
     )
-    amp = (norm / wz) * rho**a * _laguerre(p, a, rho**2) * np.exp(-r2 / wz**2)
-
+    amp = (norm / w0) * rho**a * _laguerre(p, a, rho**2) * np.exp(-r2 / w0**2)
     phase = ell * np.arctan2(yy, xx)
-    if z != 0.0:
-        rz = z * (1.0 + (zr / z) ** 2)
-        gouy = (2 * p + a + 1) * math.atan2(z, zr)
-        phase = phase + k * r2 / (2.0 * rz) - gouy
     return ComplexFieldGrid(spec, beam.wavelength, amp * np.exp(1j * phase))
 
 
-def gaussian_field(beam: BeamParams, spec: GridSpec, z: float = 0.0) -> ComplexFieldGrid:
+def gaussian_field(beam: BeamParams, spec: GridSpec) -> ComplexFieldGrid:
     """Fundamental mode, i.e. LG_0^0."""
-    return lg_mode_field(LGModeIndex(0, 0), beam, spec, z)
+    return lg_mode_field(LGModeIndex(0, 0), beam, spec)
 
 
 def decompose(
@@ -115,13 +94,11 @@ def decompose(
     beam: BeamParams,
     p_max: int,
     ell_range: tuple[int, int],
-    z: float = 0.0,
 ) -> dict[LGModeIndex, complex]:
-    """Overlap coefficients <LG_p^ell | field> over a truncated basis.
+    """Overlap coefficients <LG_p^ell | field> over a truncated basis at the waist.
 
-    ell_range is an inclusive (min, max) interval. The basis is evaluated at
-    plane z (default: the waist). Warns if the truncated basis captures less
-    than 95% of the field power.
+    ell_range is an inclusive (min, max) interval. Warns if the truncated
+    basis captures less than 95% of the field power.
     """
     import warnings
 
@@ -140,7 +117,7 @@ def decompose(
     for ell in range(ell_lo, ell_hi + 1):
         for p in range(p_max + 1):
             idx = LGModeIndex(p, ell)
-            mode = lg_mode_field(idx, beam, field.spec, z)
+            mode = lg_mode_field(idx, beam, field.spec)
             coeffs[idx] = complex(np.vdot(mode.values, field.values) * area)
     captured = sum(abs(c) ** 2 for c in coeffs.values())
     power = field.power
@@ -160,58 +137,6 @@ def mode_powers_by_ell(coeffs: dict[LGModeIndex, complex]) -> dict[int, float]:
     for idx, c in coeffs.items():
         out[idx.ell] = out.get(idx.ell, 0.0) + abs(c) ** 2
     return out
-
-
-def _occupied_band_radius(values: np.ndarray, kx: np.ndarray, ky: np.ndarray) -> float:
-    """Radius in k-space containing all but _BAND_ENERGY_TAIL of the energy."""
-    spectrum = np.abs(np.fft.fft2(values)) ** 2
-    kk = np.hypot(*np.meshgrid(kx, ky))
-    order = np.argsort(kk, axis=None)
-    cum = np.cumsum(spectrum.ravel()[order])
-    total = cum[-1]
-    if total == 0.0:
-        return 0.0
-    cut = np.searchsorted(cum, (1.0 - _BAND_ENERGY_TAIL) * total)
-    cut = min(cut, cum.size - 1)
-    return float(kk.ravel()[order][cut])
-
-
-def propagate(field: ComplexFieldGrid, distance: float) -> ComplexFieldGrid:
-    """Free-space angular-spectrum propagation by the given distance.
-
-    Power is conserved (the transfer function is unit-modulus on the occupied
-    band) and OAM content is unchanged. The caller must keep the propagated
-    field inside the aperture; the guard below only checks transfer-function
-    sampling over the band the field occupies.
-    """
-    if distance == 0.0:
-        return field
-    spec = field.spec
-    k = field.wavenumber
-    kx = 2.0 * math.pi * np.fft.fftfreq(spec.nx, spec.dx)
-    ky = 2.0 * math.pi * np.fft.fftfreq(spec.ny, spec.dy)
-
-    k_occ = _occupied_band_radius(field.values, kx, ky)
-    if k_occ >= 0.95 * k:
-        raise AliasingError(
-            "field occupies spatial frequencies near or beyond the propagating "
-            "limit; refine the sampling"
-        )
-    dk = max(2.0 * math.pi / spec.extent_x, 2.0 * math.pi / spec.extent_y)
-    if k_occ > 0.0:
-        step = abs(distance) * k_occ * dk / math.sqrt(k**2 - k_occ**2)
-        if step > math.pi:
-            raise AliasingError(
-                f"propagation over {distance:g} m aliases the transfer function "
-                f"(phase step {step:.2f} rad at the occupied band edge); use a "
-                "larger grid extent or shorter steps"
-            )
-    kxg, kyg = np.meshgrid(kx, ky)
-    kt2 = kxg**2 + kyg**2
-    kz = np.sqrt(np.maximum(k**2 - kt2, 0.0))
-    transfer = np.where(kt2 < k**2, np.exp(1j * distance * kz), 0.0)
-    out = np.fft.ifft2(np.fft.fft2(field.values) * transfer)
-    return field.with_values(out)
 
 
 def _centered_dft_matrix(n: int, n_pad: int) -> np.ndarray:
@@ -283,6 +208,22 @@ def far_field(
     return ComplexFieldGrid(out_spec, lam, transformed)
 
 
+def azimuthal_profile(
+    weights: np.ndarray, spec: GridSpec, center_xy: tuple[float, float], nbins: int
+) -> np.ndarray:
+    """Mean of weights over the first nbins annuli around center_xy (meters).
+
+    Annulus j holds the samples at distance [j, j + 1) * max(dx, dy) from the
+    centre; an annulus with no sample reads 0.
+    """
+    dr = max(spec.dx, spec.dy)
+    r = np.hypot(spec.x[None, :] - center_xy[0], spec.y[:, None] - center_xy[1])
+    idx = (r / dr).astype(np.int64).ravel()
+    counts = np.bincount(idx, minlength=nbins)[:nbins]
+    sums = np.bincount(idx, weights=weights.ravel(), minlength=nbins)[:nbins]
+    return sums / np.maximum(counts, 1)
+
+
 def radial_intensity_profile(field: ComplexFieldGrid) -> tuple[np.ndarray, np.ndarray]:
     """Azimuthally averaged intensity vs radius from the grid center.
 
@@ -291,17 +232,9 @@ def radial_intensity_profile(field: ComplexFieldGrid) -> tuple[np.ndarray, np.nd
     """
     spec = field.spec
     dr = max(spec.dx, spec.dy)
-    r = spec.radii()
-    idx = (r / dr).astype(np.int64)
-    weights = field.intensity()
-    counts = np.bincount(idx.ravel())
-    sums = np.bincount(idx.ravel(), weights=weights.ravel())
-    r_full = min(spec.extent_x, spec.extent_y) / 2.0
-    n_full = max(2, int(r_full / dr) - 1)
-    n_full = min(n_full, counts.size)
-    prof = sums[:n_full] / np.maximum(counts[:n_full], 1)
+    n_full = max(2, int(min(spec.extent_x, spec.extent_y) / 2.0 / dr) - 1)
     centers = (np.arange(n_full) + 0.5) * dr
-    return centers, prof
+    return centers, azimuthal_profile(field.intensity(), spec, (0.0, 0.0), n_full)
 
 
 def ring_radius(field: ComplexFieldGrid) -> float:
@@ -371,43 +304,3 @@ def sample_at_angles(
     top = (1.0 - tc) * flat[corner] + tc * flat[corner + 1]
     bottom = (1.0 - tc) * flat[corner + spec.nx] + tc * flat[corner + spec.nx + 1]
     return (1.0 - tr) * top + tr * bottom
-
-
-def phase_circulation(field: ComplexFieldGrid, radius: float, n_samples: int = 1024) -> float:
-    """Phase circulation (1/2pi) * closed line integral of grad(phi) * dl.
-
-    The tangential phase derivative is estimated independently at each of
-    the n_samples loop points from a half-step lookahead, then integrated.
-    Unlike a telescoping sum of wrapped differences (which is an integer by
-    construction), this quadrature reports honest non-integer values for
-    undersampled or ill-defined windings.
-    """
-    delta = math.pi / n_samples  # half the angular step
-    at = sample_on_circle(field.values, field.spec, radius, n_samples)
-    ahead = sample_on_circle(field.values, field.spec, radius, n_samples, angle0=delta)
-    dphi = np.angle(ahead * np.conj(at))
-    return float(np.sum(dphi) / (n_samples * delta))
-
-
-def measure_charge_circulation(field: ComplexFieldGrid, loop_radius: float) -> int:
-    """Topological charge from the phase circulation on a centered circle.
-
-    The loop must clear both the core and the grid edge. Raises if the
-    circulation lands more than 0.25 away from an integer.
-    """
-    spec = field.spec
-    pitch = max(spec.dx, spec.dy)
-    r_max = min(spec.extent_x, spec.extent_y) / 2.0 - 2.0 * pitch
-    if not (2.0 * pitch <= loop_radius <= r_max):
-        raise ValueError(
-            f"loop radius {loop_radius:g} m outside usable range "
-            f"[{2.0 * pitch:g}, {r_max:g}]"
-        )
-    n = loop_sample_count(spec, loop_radius)
-    circ = phase_circulation(field, loop_radius, n_samples=n)
-    nearest = round(circ)
-    if abs(circ - nearest) > 0.25:
-        raise AmbiguousCirculationError(
-            f"circulation {circ:.3f} is {abs(circ - nearest):.3f} from an integer"
-        )
-    return int(nearest)

@@ -362,12 +362,6 @@ class SpectralComb:
     def __len__(self):
         return len(self.channels)
 
-    def channel(self, label: SidebandLabel) -> CombChannel:
-        for c in self.channels:
-            if c.label == label:
-                return c
-        raise KeyError(f"no channel {label}")
-
 
 def geometric_amplitudes(ratio: float):
     """|A| falls by `ratio` per step away from the pump/Stokes seed pair."""

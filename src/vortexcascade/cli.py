@@ -302,6 +302,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(outdir: Path) -> None:
+    """Refuse an --out that is, or lies under, something other than a directory."""
+    for path in (outdir, *outdir.parents):
+        if path.is_dir():
+            return
+        if path.exists():
+            raise ConfigError(f"--out {outdir}: {path} exists and is not a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -311,6 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         outdir = Path(args.out)
+        _check_out(outdir)
         if args.command == "analyze":
             return cmd_analyze(args.image, args.carrier_sign, outdir)
         cfg = load_config(args.config, args.set, args.seed)

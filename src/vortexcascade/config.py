@@ -96,6 +96,12 @@ class RunConfig:
             raise ConfigError(
                 "raman_shift_cm1 exceeds the pump wavenumber", key="raman_shift_cm1"
             )
+        if self.fringes is not None and self.fringes >= self.grid_n / 2:
+            raise ConfigError(
+                f"fringes {self.fringes:g} puts the carrier at or beyond the Nyquist "
+                f"angle: it must stay below grid_n/2 = {self.grid_n / 2:g}",
+                key="fringes",
+            )
 
     # -- derived quantities ------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""Phase-only optical elements: spiral phase plates, mirrors, lenses, tilts."""
+"""Spiral phase plates, and the seed charges the interferometer's mirrors leave
+at the crystal."""
 
 from __future__ import annotations
 
@@ -7,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError
 from .grids import ComplexFieldGrid
 
 TWO_PI = 2.0 * math.pi
@@ -42,44 +42,10 @@ class SppSpec:
         return self.design_charge * (self.design_wavelength / wavelength) * q
 
 
-@dataclass(frozen=True)
-class ReflectionParity:
-    """Number of mirror reflections along a path; only count % 2 matters."""
-
-    count: int
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError(f"reflection count must be non-negative, got {self.count}")
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.count % 2 else 1
-
-    def then(self, other: "ReflectionParity") -> "ReflectionParity":
-        return ReflectionParity(self.count + other.count)
-
-
 def apply_spp(field: ComplexFieldGrid, spp: SppSpec) -> ComplexFieldGrid:
     """Multiply by the plate's phase; the amplitude pattern is untouched."""
     phase = spp.phase_profile(field.spec.azimuth(), field.wavelength)
     return field.with_values(field.values * np.exp(1j * phase))
-
-
-def apply_mirror(field: ComplexFieldGrid) -> ComplexFieldGrid:
-    """Reflect x -> -x; an exact sample permutation, so an involution.
-
-    Negates the measured topological charge. Any single-axis flip is
-    equivalent for charge parity.
-    """
-    nx = field.spec.nx
-    cols = (-np.arange(nx)) % nx
-    return field.with_values(field.values[:, cols])
-
-
-def path_charge(input_charge: int, parity: ReflectionParity) -> int:
-    """Charge after a path with the given number of mirror reflections."""
-    return input_charge * parity.sign
 
 
 def crystal_charges(spp_charge: int, m5_in: bool) -> tuple[int, int]:
@@ -91,38 +57,3 @@ def crystal_charges(spp_charge: int, m5_in: bool) -> tuple[int, int]:
     +spp_charge in both configurations.
     """
     return (spp_charge, spp_charge) if m5_in else (spp_charge, -spp_charge)
-
-
-def apply_lens(field: ComplexFieldGrid, focal_length: float) -> ComplexFieldGrid:
-    """Thin-lens phase -k*r^2/(2f); positive f focuses."""
-    if focal_length == 0:
-        raise ValueError("focal length must be nonzero")
-    spec = field.spec
-    k = field.wavenumber
-    r_edge = math.hypot(spec.extent_x / 2.0, spec.extent_y / 2.0)
-    step = k * r_edge * max(spec.dx, spec.dy) / abs(focal_length)
-    if step > math.pi:
-        raise AliasingError(
-            f"lens phase steps {step:.2f} rad/sample at the aperture edge; "
-            "|f| too short for this grid"
-        )
-    xx, yy = spec.meshes()
-    phase = -k * (xx**2 + yy**2) / (2.0 * focal_length)
-    return field.with_values(field.values * np.exp(1j * phase))
-
-
-def apply_tilt(field: ComplexFieldGrid, angle_x: float, angle_y: float) -> ComplexFieldGrid:
-    """Wavefront tilt phase k*(x*angle_x + y*angle_y), small-angle."""
-    spec = field.spec
-    lam = field.wavelength
-    if abs(angle_x) >= lam / (2.0 * spec.dx) or abs(angle_y) >= lam / (2.0 * spec.dy):
-        raise AliasingError(
-            f"tilt ({angle_x:g}, {angle_y:g}) rad exceeds the Nyquist angle "
-            f"({lam / (2 * spec.dx):g}, {lam / (2 * spec.dy):g}) rad"
-        )
-    if angle_x == 0.0 and angle_y == 0.0:
-        return field
-    k = field.wavenumber
-    xx, yy = spec.meshes()
-    phase = k * (xx * angle_x + yy * angle_y)
-    return field.with_values(field.values * np.exp(1j * phase))

@@ -21,10 +21,6 @@ class DegenerateOverlapError(VortexCascadeError):
     """The interacting beams have essentially no spatial overlap."""
 
 
-class AmbiguousCirculationError(VortexCascadeError):
-    """Measured phase circulation is too far from an integer multiple of 2*pi."""
-
-
 class NegativeFrequencyError(VortexCascadeError):
     """The sideband ladder was extended past zero frequency."""
 

@@ -2,14 +2,13 @@
 
 Arrays are stored with shape (ny, nx); row index runs along y, column index
 along x. The beam axis sits at sample (ny//2, nx//2), so coordinates are
-x = (ix - nx//2)*dx and y = (iy - ny//2)*dy, which is the layout expected by
-FFT-based propagation after an ifftshift.
+x = (ix - nx//2)*dx and y = (iy - ny//2)*dy, which is the centred layout the
+far-field transform expects.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,10 +58,6 @@ class GridSpec:
         """(xx, yy) coordinate arrays of shape (ny, nx)."""
         return np.meshgrid(self.x, self.y)
 
-    def radii(self) -> np.ndarray:
-        xx, yy = self.meshes()
-        return np.hypot(xx, yy)
-
     def azimuth(self) -> np.ndarray:
         """Polar angle in [0, 2*pi), counterclockwise from +x."""
         xx, yy = self.meshes()
@@ -97,10 +92,6 @@ class ComplexFieldGrid:
         object.__setattr__(self, "values", vals)
 
     @property
-    def wavenumber(self) -> float:
-        return 2.0 * math.pi / self.wavelength
-
-    @property
     def power(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2)) * self.spec.cell_area
 
@@ -121,17 +112,3 @@ class ComplexFieldGrid:
         tagged = copy.copy(self)
         object.__setattr__(tagged, "wavelength", wavelength)
         return tagged
-
-    def normalized(self) -> "ComplexFieldGrid":
-        """Scaled copy with unit power."""
-        p = self.power
-        if p <= 0:
-            raise ValueError("cannot normalize a zero-power field")
-        return self.with_values(self.values / math.sqrt(p))
-
-
-def inner_product(a: ComplexFieldGrid, b: ComplexFieldGrid) -> complex:
-    """Discrete <a|b> with Riemann area weight; grids must match."""
-    if a.spec != b.spec:
-        raise ValueError("fields live on different grids")
-    return complex(np.vdot(a.values, b.values) * a.spec.cell_area)

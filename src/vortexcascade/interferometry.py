@@ -26,7 +26,8 @@ from typing import Any, Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .beams import BeamParams, LGModeIndex, lg_mode_field, loop_sample_count, sample_at_angles
+from .beams import BeamParams, LGModeIndex, azimuthal_profile, lg_mode_field
+from .beams import loop_sample_count, sample_at_angles
 from .cascade import RamanConfig, SidebandLabel, mirrored_sideband, observed_sideband
 from .errors import AliasingError, GridMismatchError, RegionError, VortexCascadeError
 from .grids import ComplexFieldGrid, GridSpec
@@ -528,14 +529,9 @@ def _signal_ring_radius(
     env: np.ndarray, spec: GridSpec, center_xy: tuple[float, float]
 ) -> float:
     """Radius of strongest envelope around the core (best winding circle)."""
-    r = np.hypot(spec.x[None, :] - center_xy[0], spec.y[:, None] - center_xy[1])
     dr = max(spec.dx, spec.dy)
-    idx = (r / dr).astype(np.int64)
     nbins = int(0.45 * min(spec.extent_x, spec.extent_y) / dr)
-    counts = np.bincount(idx.ravel(), minlength=nbins)[:nbins]
-    sums = np.bincount(idx.ravel(), weights=env.ravel(), minlength=nbins)[:nbins]
-    prof = sums / np.maximum(counts, 1)
-    j = int(np.argmax(prof))
+    j = int(np.argmax(azimuthal_profile(env, spec, center_xy, nbins)))
     return max((j + 0.5) * dr, 4.0 * dr)
 
 

@@ -145,33 +145,6 @@ def synthesize_waveform(
     return np.abs(field) ** 2
 
 
-def envelope_modulation_frequency(series: np.ndarray, dt: float) -> float:
-    """Dominant modulation frequency (rad/s) of an intensity series.
-
-    Peak of |FFT| excluding the DC/hull region (a few bins, scaled with the
-    record length); parabolic sub-bin refinement. Raises when nothing stands
-    out of the hull.
-    """
-    series = np.asarray(series, dtype=float)
-    n = series.size
-    spectrum = np.abs(np.fft.rfft(series - series.mean()))
-    guard = max(3, n // 512)
-    if spectrum.size <= guard + 2:
-        raise NonPeriodicError("series too short to resolve a modulation peak")
-    body = spectrum[guard:-1]
-    j = int(np.argmax(body)) + guard
-    significant = spectrum[j] >= 5.0 * float(np.median(spectrum[guard:])) and spectrum[
-        j
-    ] >= 1e-6 * float(spectrum.max())
-    if not significant:
-        raise NonPeriodicError("no significant modulation peak above the hull")
-    lo, mid, hi = spectrum[j - 1], spectrum[j], spectrum[j + 1]
-    denom = lo - 2.0 * mid + hi
-    delta = 0.0 if denom == 0 else float(np.clip(0.5 * (lo - hi) / denom, -0.5, 0.5))
-    freq_cycles = (j + delta) / (n * dt)
-    return 2.0 * math.pi * freq_cycles
-
-
 def train_period(series: np.ndarray, dt: float) -> float:
     """Period of a pulse train via its strongest autocorrelation echo.
 

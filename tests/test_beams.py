@@ -1,4 +1,4 @@
-"""Beam construction, decomposition, propagation, and charge metrology."""
+"""Beam construction, decomposition, focal-plane mapping, and ring and charge metrology."""
 
 import math
 import warnings
@@ -15,18 +15,11 @@ from vortexcascade import (
     far_field,
     gaussian_field,
     lg_mode_field,
-    measure_charge_circulation,
-    propagate,
     ring_radius,
 )
-from vortexcascade.beams import _laguerre, mode_powers_by_ell, phase_circulation, sample_on_circle
-from vortexcascade.errors import (
-    AliasingError,
-    AmbiguousCirculationError,
-    BasisTruncationWarning,
-    ResolutionError,
-)
-from vortexcascade.grids import inner_product
+from vortexcascade.beams import _laguerre, mode_powers_by_ell, sample_on_circle
+from vortexcascade.errors import BasisTruncationWarning, ResolutionError
+from winding import assert_winding
 
 WL = 800e-9
 
@@ -51,14 +44,14 @@ class TestLGModeField:
         assert (iy, ix) == (spec.ny // 2, spec.nx // 2)
         assert f.power == pytest.approx(1.0, abs=1e-6)
         # no phase winding
-        assert abs(phase_circulation(f, 0.5e-3)) < 1e-6
+        assert_winding(f, 0.5e-3, 0)
 
     def test_lg01_annular_with_unit_winding(self):
         beam, spec = beam_and_grid()
         f = lg_mode_field(LGModeIndex(0, 1), beam, spec)
         center = abs(f.values[spec.ny // 2, spec.nx // 2])
         assert center == 0.0
-        assert measure_charge_circulation(f, 0.7e-3) == 1
+        assert_winding(f, 0.7e-3, 1)
         assert f.power == pytest.approx(1.0, abs=1e-6)
 
     def test_peak_radius_ratio_ell4_vs_ell1(self):
@@ -73,13 +66,6 @@ class TestLGModeField:
         spec = GridSpec.square(64, 25e-6)
         with pytest.raises(ResolutionError):
             lg_mode_field(LGModeIndex(0, 1), beam, spec)
-
-    def test_off_waist_matches_free_space_propagation(self):
-        beam, spec = beam_and_grid(n=256, pitch=16e-6, w0=0.5e-3)
-        z = 0.4 * beam.rayleigh_range
-        analytic = lg_mode_field(LGModeIndex(1, 2), beam, spec, z=z)
-        numeric = propagate(lg_mode_field(LGModeIndex(1, 2), beam, spec), z)
-        assert abs(inner_product(analytic, numeric)) == pytest.approx(1.0, abs=1e-6)
 
     def test_laguerre_matches_explicit_sum(self):
         # oracle: L_p^a(x) = sum_m (-1)^m C(p+a, p-m) x^m / m!
@@ -218,50 +204,6 @@ class TestDecompose:
             decompose(f, BeamParams(1e-3, 820e-9), p_max=0, ell_range=(0, 0))
 
 
-class TestPropagate:
-    def test_zero_distance_is_identity(self):
-        beam, spec = beam_and_grid()
-        f = gaussian_field(beam, spec)
-        assert propagate(f, 0.0) is f
-
-    def test_power_conserved(self):
-        beam, spec = beam_and_grid(n=256, pitch=16e-6, w0=0.5e-3)
-        f = lg_mode_field(LGModeIndex(0, 2), beam, spec)
-        out = propagate(f, 0.5 * beam.rayleigh_range)
-        assert out.power == pytest.approx(f.power, rel=1e-6)
-
-    def test_charge_conserved_up_to_five(self):
-        beam, spec = beam_and_grid(n=256, pitch=16e-6, w0=0.5e-3)
-        z = 0.2 * beam.rayleigh_range
-        for ell in (-5, -2, 1, 3, 5):
-            out = propagate(lg_mode_field(LGModeIndex(0, ell), beam, spec), z)
-            loop = max(0.4e-3, ring_radius(out))
-            assert measure_charge_circulation(out, loop) == ell
-
-    def test_gaussian_spreads_by_sqrt2_at_rayleigh_range(self):
-        # oracle: w(z) = w0*sqrt(1 + (z/zR)^2)
-        beam, spec = beam_and_grid(n=256, pitch=16e-6, w0=0.5e-3)
-        f = gaussian_field(beam, spec)
-        out = propagate(f, beam.rayleigh_range)
-        assert field_width(out) / field_width(f) == pytest.approx(math.sqrt(2.0), rel=1e-3)
-
-    def test_ell_content_unchanged(self):
-        beam, spec = beam_and_grid(n=256, pitch=16e-6, w0=0.5e-3)
-        z = 0.3 * beam.rayleigh_range
-        out = propagate(lg_mode_field(LGModeIndex(0, 1), beam, spec), z)
-        coeffs = decompose(out, beam, p_max=6, ell_range=(-2, 2), z=z)
-        by_ell = mode_powers_by_ell(coeffs)
-        assert by_ell[1] == pytest.approx(1.0, abs=1e-6)
-        assert abs(inner_product(lg_mode_field(LGModeIndex(0, 1), beam, spec, z=z), out)) == pytest.approx(1.0, abs=1e-6)
-
-    def test_aliasing_guard_trips(self):
-        beam = BeamParams(waist_w0=0.2e-3, wavelength=WL)
-        spec = GridSpec.square(64, 30e-6)
-        f = gaussian_field(beam, spec)
-        with pytest.raises(AliasingError):
-            propagate(f, 50.0)
-
-
 class TestFarField:
     def test_power_conserved_and_pitch_self_dual(self):
         beam, spec = beam_and_grid()
@@ -275,7 +217,7 @@ class TestFarField:
         for ell in (-3, 1, 2):
             ff = far_field(lg_mode_field(LGModeIndex(0, ell), beam, spec))
             loop = max(8 * ff.spec.dx, ring_radius(ff))
-            assert measure_charge_circulation(ff, loop) == ell
+            assert_winding(ff, loop, ell)
 
     def test_gaussian_far_width_matches_focus_formula(self):
         # oracle: waist at the focal plane of a lens f is lambda*f/(pi*w0)
@@ -367,15 +309,15 @@ class TestSampleOnCircle:
 class TestChargeCirculation:
     def test_plain_modes(self):
         beam, spec = beam_and_grid()
-        assert measure_charge_circulation(lg_mode_field(LGModeIndex(0, 3), beam, spec), 1.2e-3) == 3
-        assert measure_charge_circulation(lg_mode_field(LGModeIndex(0, -1), beam, spec), 0.7e-3) == -1
+        assert_winding(lg_mode_field(LGModeIndex(0, 3), beam, spec), 1.2e-3, 3)
+        assert_winding(lg_mode_field(LGModeIndex(0, -1), beam, spec), 0.7e-3, -1)
 
     def test_all_modes_to_five(self):
         beam, spec = beam_and_grid(w0=0.8e-3)
         for p in range(3):
             for ell in range(-5, 6):
                 f = lg_mode_field(LGModeIndex(p, ell), beam, spec)
-                assert measure_charge_circulation(f, 0.6e-3) == ell
+                assert_winding(f, 0.6e-3, ell)
 
     def test_product_adds_windings(self):
         # oracle: phase windings add under pointwise multiplication
@@ -383,22 +325,7 @@ class TestChargeCirculation:
         a = lg_mode_field(LGModeIndex(0, 1), beam, spec)
         b = lg_mode_field(LGModeIndex(0, 2), beam, spec)
         product = a.with_values(a.values * b.values)
-        assert measure_charge_circulation(product, 0.8e-3) == 3
-
-    def test_fractional_charge_is_ambiguous(self):
-        beam, spec = beam_and_grid()
-        g = gaussian_field(beam, spec)
-        half = g.with_values(g.values * np.exp(0.5j * spec.azimuth()))
-        with pytest.raises(AmbiguousCirculationError):
-            measure_charge_circulation(half, 0.8e-3)
-
-    def test_loop_radius_validated(self):
-        beam, spec = beam_and_grid()
-        f = lg_mode_field(LGModeIndex(0, 1), beam, spec)
-        with pytest.raises(ValueError):
-            measure_charge_circulation(f, 1e-6)
-        with pytest.raises(ValueError):
-            measure_charge_circulation(f, 1.0)
+        assert_winding(product, 0.8e-3, 3)
 
 
 class TestGridTypes:

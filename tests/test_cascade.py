@@ -16,7 +16,6 @@ from vortexcascade import (
     cascade_phase_recursion,
     conservation_check,
     lg_mode_field,
-    measure_charge_circulation,
     observed_sideband,
     ring_radius,
     sideband_charge,
@@ -35,6 +34,7 @@ from vortexcascade.units import (
     wavelength_from_omega,
     wavenumber_cm_from_omega,
 )
+from winding import assert_winding
 
 PUMP_CM = 12500.0  # 800 nm
 SHIFT_CM = 320.0
@@ -275,15 +275,15 @@ class TestSpatialSideband:
 
     def test_equal_charges_all_orders_carry_one(self):
         out = spatial_sideband(self.pump(1), self.stokes(1), SidebandLabel.anti_stokes(1))
-        assert measure_charge_circulation(out, 0.55e-3) == 1
+        assert_winding(out, 0.55e-3, 1)
 
     def test_opposite_charges_second_order_carries_five(self):
         out = spatial_sideband(self.pump(1), self.stokes(-1), SidebandLabel.anti_stokes(2))
-        assert measure_charge_circulation(out, 0.55e-3) == 5
+        assert_winding(out, 0.55e-3, 5)
 
     def test_gaussian_inputs_stay_gaussian(self):
         out = spatial_sideband(self.pump(0), self.stokes(0), SidebandLabel.anti_stokes(3))
-        assert measure_charge_circulation(out, 0.5e-3) == 0
+        assert_winding(out, 0.5e-3, 0)
         assert ring_radius(out) == 0.0
         assert out.power == pytest.approx(1.0, rel=1e-9)
 
@@ -305,11 +305,7 @@ class TestSpatialSideband:
                     label = SidebandLabel.from_ladder_index(k)
                     out = spatial_sideband(pump, stokes, label)
                     loop = max(ring_radius(out), 0.5e-3)
-                    assert measure_charge_circulation(out, loop) == sideband_charge(cfg, label), (
-                        ell_p,
-                        ell_s,
-                        str(label),
-                    )
+                    assert_winding(out, loop, sideband_charge(cfg, label))
 
     def test_grid_mismatch_rejected(self):
         other = GridSpec.square(128, 25e-6)

@@ -107,7 +107,12 @@ grid_n = 128
 
     @pytest.mark.parametrize(
         "kwargs,key",
-        [({"ell_p": 1}, "ell_p"), ({"raman_shift_cm1": 20000.0}, "raman_shift_cm1")],
+        [
+            ({"ell_p": 1}, "ell_p"),
+            ({"raman_shift_cm1": 20000.0}, "raman_shift_cm1"),
+            # tilt at the Nyquist angle: refused here, not after every far field
+            ({"fringes": 256.0}, "fringes"),
+        ],
     )
     def test_direct_construction_checks_cross_fields(self, kwargs, key):
         with pytest.raises(ConfigError) as err:
@@ -202,6 +207,26 @@ class TestCombCommand:
             out = tmp_path / f"out_{name}"
             assert main(args + ["--out", str(out)]) == 2, name
             assert not out.exists(), name
+
+
+    def test_unusable_out_is_refused_before_any_command(self, tmp_path, capsys):
+        # a file, or a path through one: figure3 used to fail only once its
+        # first order was read, every command with a traceback
+        flat = tmp_path / "flat.pgm"
+        write_pgm16(flat, np.full((64, 64), 0.5))
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"kept")
+        commands = {
+            "comb": ["comb"],
+            "pulse": ["pulse", "--set", "match=true"],
+            "analyze": ["analyze", str(flat)],
+            "figure3": ["figure3"] + FAST_FIGURE3,
+        }
+        for name, args in commands.items():
+            for out in (blocker, blocker / "x"):
+                assert main(args + ["--out", str(out)]) == 2, (name, out)
+                assert capsys.readouterr().err.startswith(f"error: --out {out}: "), (name, out)
+                assert blocker.read_bytes() == b"kept", (name, out)
 
 
 class TestFigure3Command:

@@ -1,32 +1,25 @@
-"""Spiral phase plates, mirror parity, lenses, and tilts."""
+"""Spiral phase plates and the seed charges at the crystal."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from vortexcascade import (
     BeamParams,
     GridSpec,
     LGModeIndex,
-    ReflectionParity,
     SppSpec,
-    apply_lens,
-    apply_mirror,
     apply_spp,
-    apply_tilt,
     crystal_charges,
     decompose,
     gaussian_field,
     lg_mode_field,
-    measure_charge_circulation,
-    path_charge,
-    propagate,
 )
 from vortexcascade.beams import mode_powers_by_ell
-from vortexcascade.errors import AliasingError, BasisTruncationWarning
+from vortexcascade.errors import BasisTruncationWarning
+from winding import assert_winding
 
 WL = 800e-9
 
@@ -61,7 +54,7 @@ class TestSpiralPhasePlate:
         beam, spec = beam_and_grid()
         g = gaussian_field(beam, spec)
         out = apply_spp(g, SppSpec(design_charge=1, design_wavelength=WL))
-        assert measure_charge_circulation(out, 0.8e-3) == 1
+        assert_winding(out, 0.8e-3, 1)
 
     def test_amplitude_untouched(self):
         beam, spec = beam_and_grid()
@@ -124,30 +117,7 @@ class TestSpiralPhasePlate:
             SppSpec(1, WL, n_steps=0)
 
 
-class TestMirror:
-    def test_negates_charge(self):
-        beam, spec = beam_and_grid()
-        f = lg_mode_field(LGModeIndex(0, 1), beam, spec)
-        assert measure_charge_circulation(apply_mirror(f), 0.7e-3) == -1
-
-    def test_involution_is_exact(self):
-        beam, spec = beam_and_grid()
-        f = lg_mode_field(LGModeIndex(0, 2), beam, spec)
-        twice = apply_mirror(apply_mirror(f))
-        assert np.array_equal(twice.values, f.values)
-
-    def test_symmetric_mode_unchanged(self):
-        beam, spec = beam_and_grid()
-        g = gaussian_field(beam, spec)
-        out = apply_mirror(g)
-        assert np.array_equal(out.intensity(), g.intensity())
-        assert measure_charge_circulation(out, 0.8e-3) == 0
-
-
 class TestPathCharge:
-    def test_three_reflections_flip(self):
-        assert path_charge(1, ReflectionParity(3)) == -1
-
     def test_balanced_arms_keep_equal_charges(self):
         ell_p, ell_s = crystal_charges(1, m5_in=True)
         assert ell_p == ell_s
@@ -156,74 +126,3 @@ class TestPathCharge:
         ell_p, ell_s = crystal_charges(1, m5_in=False)
         assert ell_p == -ell_s
         assert ell_p == 1
-
-    @given(st.integers(-50, 50), st.integers(0, 20), st.integers(0, 20))
-    def test_parity_composes(self, charge, a, b):
-        combined = path_charge(charge, ReflectionParity(a).then(ReflectionParity(b)))
-        sequential = path_charge(path_charge(charge, ReflectionParity(a)), ReflectionParity(b))
-        assert combined == sequential
-
-    def test_parity_validation(self):
-        with pytest.raises(ValueError):
-            ReflectionParity(-1)
-
-
-class TestLensAndTilt:
-    def test_zero_tilt_is_identity(self):
-        beam, spec = beam_and_grid()
-        g = gaussian_field(beam, spec)
-        assert apply_tilt(g, 0.0, 0.0) is g
-
-    def test_phase_only(self):
-        beam, spec = beam_and_grid()
-        g = gaussian_field(beam, spec)
-        eps = np.finfo(float).eps * float(np.abs(g.values).max())
-        for out in (apply_lens(g, 1.0), apply_tilt(g, 1e-3, -2e-3)):
-            diff = np.abs(np.abs(out.values) - np.abs(g.values))
-            assert float(diff.max()) <= 4 * eps
-
-    def test_lens_focuses_to_diffraction_limit(self):
-        # oracle: focal waist = lambda*f/(pi*w0) for a collimated Gaussian
-        beam = BeamParams(waist_w0=0.35e-3, wavelength=WL)
-        spec = GridSpec.square(256, 10e-6)
-        f_len = 0.23
-        focused = propagate(apply_lens(gaussian_field(beam, spec), f_len), f_len)
-        xx, yy = spec.meshes()
-        intensity = focused.intensity()
-        r2 = float(np.sum((xx**2 + yy**2) * intensity) / np.sum(intensity))
-        w_meas = math.sqrt(2.0 * r2)
-        w_expect = WL * f_len / (math.pi * beam.waist_w0)
-        assert w_meas == pytest.approx(w_expect, rel=0.02)
-
-    def test_crossed_beams_make_fringes_at_oracle_period(self):
-        # oracle: two plane waves at +-1.5 deg interfere with period
-        # lambda / (2*sin(1.5 deg))
-        half_angle = math.radians(1.5)
-        spec = GridSpec.square(512, 3e-6)
-        beam = BeamParams(waist_w0=0.5e-3, wavelength=WL)
-        g = gaussian_field(beam, spec)
-        a = apply_tilt(g, half_angle, 0.0)
-        b = apply_tilt(g, -half_angle, 0.0)
-        intensity = np.abs(a.values + b.values) ** 2
-        spectrum = np.abs(np.fft.fft2(intensity - intensity.mean()))
-        fx = np.fft.fftfreq(spec.nx, spec.dx)
-        row = spectrum[0, : spec.nx // 2]
-        row[:4] = 0.0
-        j = int(np.argmax(row))
-        lo, mid, hi = row[j - 1], row[j], row[j + 1]
-        delta = 0.5 * (lo - hi) / (lo - 2 * mid + hi)
-        period = 1.0 / (fx[1] * (j + delta))
-        oracle = WL / (2.0 * math.sin(half_angle))
-        assert period == pytest.approx(oracle, rel=0.005)
-
-    def test_tilt_nyquist_guard(self):
-        beam, spec = beam_and_grid()
-        g = gaussian_field(beam, spec)
-        with pytest.raises(AliasingError):
-            apply_tilt(g, WL / spec.dx, 0.0)
-
-    def test_lens_sampling_guard(self):
-        beam, spec = beam_and_grid()
-        g = gaussian_field(beam, spec)
-        with pytest.raises(AliasingError):
-            apply_lens(g, 1e-3)

@@ -28,7 +28,12 @@ from vortexcascade import interferometry
 from vortexcascade.config import load_config
 from vortexcascade.pgmio import read_pgm16, write_pgm16
 from vortexcascade.errors import AliasingError, GridMismatchError, RegionError
-from vortexcascade.beams import loop_sample_count, sample_on_circle
+from vortexcascade.beams import (
+    azimuthal_profile,
+    loop_sample_count,
+    radial_intensity_profile,
+    sample_on_circle,
+)
 from vortexcascade.interferometry import (
     _below_tenfold_median,
     _demodulate,
@@ -451,6 +456,43 @@ def single_circle_winding(values, spec, center_xy, radius):
     return float(np.sum(d) / (2.0 * math.pi))
 
 
+def separate_signal_ring_radius(env, spec, center_xy):
+    """_signal_ring_radius as it was before it shared azimuthal_profile:
+    its own bincounts about the core, out to 0.45 of the frame. Returns the
+    radius and the profile."""
+    r = np.hypot(spec.x[None, :] - center_xy[0], spec.y[:, None] - center_xy[1])
+    dr = max(spec.dx, spec.dy)
+    idx = (r / dr).astype(np.int64)
+    nbins = int(0.45 * min(spec.extent_x, spec.extent_y) / dr)
+    counts = np.bincount(idx.ravel(), minlength=nbins)[:nbins]
+    sums = np.bincount(idx.ravel(), weights=env.ravel(), minlength=nbins)[:nbins]
+    prof = sums / np.maximum(counts, 1)
+    j = int(np.argmax(prof))
+    return max((j + 0.5) * dr, 4.0 * dr), prof
+
+
+def separate_radial_intensity_profile(field):
+    """radial_intensity_profile as it was before it shared azimuthal_profile:
+    bincounts of the meshgrid radii, cut to the annuli inside the aperture."""
+    spec = field.spec
+    dr = max(spec.dx, spec.dy)
+    xx, yy = spec.meshes()
+    idx = (np.hypot(xx, yy) / dr).astype(np.int64)
+    weights = field.intensity()
+    counts = np.bincount(idx.ravel())
+    sums = np.bincount(idx.ravel(), weights=weights.ravel())
+    r_full = min(spec.extent_x, spec.extent_y) / 2.0
+    n_full = max(2, int(r_full / dr) - 1)
+    n_full = min(n_full, counts.size)
+    prof = sums[:n_full] / np.maximum(counts[:n_full], 1)
+    centers = (np.arange(n_full) + 0.5) * dr
+    return centers, prof
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def whole_crop_demodulate(gram, carrier):
     """_demodulate as it was before its window skipped the bins outside
     r_mask: hypot and cosine on every bin of the crop, both mirror gathers.
@@ -689,6 +731,32 @@ class TestExactReadoutKernels:
         for a in (a, diffs):
             expect = np.mod(a + math.pi, 2.0 * math.pi) - math.pi
             assert np.array_equal(_wrap(a).view(np.int64), expect.view(np.int64))
+
+    def test_shared_profile_equals_both_separate_profiles(self):
+        rng = np.random.default_rng(8)
+        specs = (
+            GridSpec.square(64, 1.0),
+            GridSpec(nx=48, ny=40, dx=1.0, dy=1.0),
+            GridSpec(nx=37, ny=52, dx=0.7, dy=1.3),
+            GridSpec(nx=9, ny=12, dx=2.0, dy=0.5),
+        )
+        for spec in specs:
+            shape = (spec.ny, spec.nx)
+            values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            field = ComplexFieldGrid(spec, WL, values)
+            centers, prof = radial_intensity_profile(field)
+            expect_centers, expect_prof = separate_radial_intensity_profile(field)
+            assert same_bits(centers, expect_centers) and same_bits(prof, expect_prof), spec
+            env = np.abs(values)
+            half_x, half_y = spec.extent_x / 2, spec.extent_y / 2
+            # the centre, off-sample cores, and cores near and past the corners
+            for core in ((0.0, 0.0), (0.37 * spec.dx, -1.61 * spec.dy),
+                         (-0.3 * half_x, 0.45 * half_y), (0.9 * half_x, -0.95 * half_y),
+                         (-1.2 * half_x, 1.1 * half_y)):
+                radius, expect = separate_signal_ring_radius(env, spec, core)
+                assert interferometry._signal_ring_radius(env, spec, core) == radius, (spec, core)
+                got = azimuthal_profile(env, spec, core, expect.size)
+                assert same_bits(got, expect), (spec, core)
 
     def test_batched_windings_equal_single_circles(self):
         rng = np.random.default_rng(2)
@@ -967,9 +1035,9 @@ class TestMirroredOrdersShareFields:
         seen = []
         original = interferometry.lg_mode_field
 
-        def counting(index, beam, spec, z=0.0):
+        def counting(index, beam, spec):
             seen.append(index.ell)
-            return original(index, beam, spec, z)
+            return original(index, beam, spec)
 
         monkeypatch.setattr(interferometry, "lg_mode_field", counting)
         results = analyze_order_panel(panel_config(ell_p, ell_s), self.geometry(), ORDERS)

@@ -14,7 +14,6 @@ from vortexcascade import (
     TimeGrid,
     beat_frequency,
     chirped_pair_field,
-    envelope_modulation_frequency,
     synthesize_waveform,
     train_period,
 )
@@ -110,24 +109,11 @@ class TestChirpedPairField:
         intensity = np.abs(chirped_pair_field(pair, grid)) ** 2
         with pytest.raises(NonPeriodicError):
             train_period(intensity, grid.dt)
-        with pytest.raises(NonPeriodicError):
-            envelope_modulation_frequency(intensity, grid.dt)
-
-    def test_matched_pair_beats_at_b_times_td(self):
-        # oracle: peak of |FFT(|E|^2)| excluding the DC hull
-        pair = matched_pair()
-        grid = pair_grid(pair)
-        intensity = np.abs(chirped_pair_field(pair, grid)) ** 2
-        peak = envelope_modulation_frequency(intensity, grid.dt)
-        one_bin = 2.0 * math.pi / (grid.nt * grid.dt)
-        assert abs(peak - beat_frequency(pair)) < one_bin
 
     def test_modulation_period_matches_raman_period(self):
         pair = matched_pair()
         grid = pair_grid(pair)
         intensity = np.abs(chirped_pair_field(pair, grid)) ** 2
-        period = 2.0 * math.pi / envelope_modulation_frequency(intensity, grid.dt)
-        assert period == pytest.approx(RAMAN_PERIOD, rel=0.01)
         assert train_period(intensity, grid.dt) == pytest.approx(RAMAN_PERIOD, rel=0.01)
 
     def test_span_guard(self):
