@@ -15,7 +15,6 @@ from .beams import (
 from .cascade import (
     CombChannel,
     RamanConfig,
-    SidebandKind,
     SidebandLabel,
     SpectralComb,
     build_comb,
@@ -67,7 +66,6 @@ __all__ = [
     "OrderResult",
     "PanelGeometry",
     "RamanConfig",
-    "SidebandKind",
     "SidebandLabel",
     "SpectralComb",
     "SppSpec",

@@ -12,7 +12,6 @@ with Stokes seed at k=0, pump at k=1, AS_n at k=n+1 and S_n at k=-n.
 
 from __future__ import annotations
 
-import enum
 import math
 import re
 import warnings
@@ -31,87 +30,33 @@ from .grids import ComplexFieldGrid
 from .units import omega_from_wavelength, wavelength_from_omega
 
 
-class SidebandKind(enum.Enum):
-    PUMP = "P"
-    STOKES = "S"
-    ANTI_STOKES = "AS"
-    STOKES_ORDER = "Sn"
-
-
 @dataclass(frozen=True)
 class SidebandLabel:
-    """Identity of one comb line: the seed beams or a generated order."""
+    """Identity of one comb line: its ladder index k (S 0, P 1, AS_n n+1, S_n -n)."""
 
-    kind: SidebandKind
-    n: int = 0
-
-    def __post_init__(self):
-        if self.kind in (SidebandKind.ANTI_STOKES, SidebandKind.STOKES_ORDER):
-            if self.n < 1:
-                raise ValueError(f"order must be >= 1, got {self.n}")
-        elif self.n != 0:
-            raise ValueError(f"{self.kind.name} takes no order, got n={self.n}")
-
-    @property
-    def k(self) -> int:
-        """Ladder index: Stokes 0, pump 1, AS_n n+1, S_n -n."""
-        if self.kind is SidebandKind.STOKES:
-            return 0
-        if self.kind is SidebandKind.PUMP:
-            return 1
-        if self.kind is SidebandKind.ANTI_STOKES:
-            return self.n + 1
-        return -self.n
+    k: int
 
     @classmethod
     def from_ladder_index(cls, k: int) -> "SidebandLabel":
-        if k == 0:
-            return cls(SidebandKind.STOKES)
-        if k == 1:
-            return cls(SidebandKind.PUMP)
-        if k >= 2:
-            return cls(SidebandKind.ANTI_STOKES, k - 1)
-        return cls(SidebandKind.STOKES_ORDER, -k)
-
-    @classmethod
-    def pump(cls) -> "SidebandLabel":
-        return cls(SidebandKind.PUMP)
-
-    @classmethod
-    def stokes(cls) -> "SidebandLabel":
-        return cls(SidebandKind.STOKES)
-
-    @classmethod
-    def anti_stokes(cls, n: int) -> "SidebandLabel":
-        return cls(SidebandKind.ANTI_STOKES, n)
-
-    @classmethod
-    def stokes_order(cls, n: int) -> "SidebandLabel":
-        return cls(SidebandKind.STOKES_ORDER, n)
+        return cls(k)
 
     @classmethod
     def parse(cls, text: str) -> "SidebandLabel":
         t = text.strip().upper()
-        if t == "P":
-            return cls.pump()
-        if t == "S":
-            return cls.stokes()
-        m = re.fullmatch(r"AS(\d+)", t)
-        if m:
-            return cls.anti_stokes(int(m.group(1)))
-        m = re.fullmatch(r"S(\d+)", t)
-        if m:
-            return cls.stokes_order(int(m.group(1)))
+        if t in ("S", "P"):
+            return cls(0 if t == "S" else 1)
+        m = re.fullmatch(r"(AS|S)(\d+)", t)
+        n = int(m.group(2)) if m else 0
+        if n >= 1:
+            return cls(n + 1 if m.group(1) == "AS" else -n)
         raise ValueError(f"unrecognized sideband label {text!r}")
 
     def __str__(self) -> str:
-        if self.kind is SidebandKind.PUMP:
-            return "P"
-        if self.kind is SidebandKind.STOKES:
-            return "S"
-        if self.kind is SidebandKind.ANTI_STOKES:
-            return f"AS{self.n}"
-        return f"S{self.n}"
+        if self.k >= 2:
+            return f"AS{self.k - 1}"
+        if self.k <= -1:
+            return f"S{-self.k}"
+        return "P" if self.k == 1 else "S"
 
 
 @dataclass(frozen=True)
@@ -197,9 +142,7 @@ def conservation_check(cfg: RamanConfig, n: int) -> bool:
     """True iff charge(S_n) + charge(AS_n) equals ell_s + ell_p."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    total = sideband_charge(cfg, SidebandLabel.stokes_order(n)) + sideband_charge(
-        cfg, SidebandLabel.anti_stokes(n)
-    )
+    total = sideband_charge(cfg, SidebandLabel(-n)) + sideband_charge(cfg, SidebandLabel(n + 1))
     return total == cfg.ell_s + cfg.ell_p
 
 
@@ -325,11 +268,6 @@ class CombChannel:
     label: SidebandLabel
     omega: float
     ell: int
-    amplitude: complex
-
-    @property
-    def k(self) -> int:
-        return self.label.k
 
     @property
     def wavelength(self) -> float:
@@ -344,7 +282,7 @@ class SpectralComb:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
-        ks = [c.k for c in self.channels]
+        ks = [c.label.k for c in self.channels]
         if ks != sorted(ks) or len(set(ks)) != len(ks):
             raise ValueError("channels must be sorted by ladder index, without repeats")
         if len(self.channels) >= 2:
@@ -363,45 +301,23 @@ class SpectralComb:
         return len(self.channels)
 
 
-def geometric_amplitudes(ratio: float):
-    """|A| falls by `ratio` per step away from the pump/Stokes seed pair."""
-    if not (0.0 < ratio <= 1.0):
-        raise ValueError(f"ratio must be in (0, 1], got {ratio}")
-
-    def model(k: int) -> complex:
-        if k >= 2:
-            return complex(ratio ** (k - 1))
-        if k <= -1:
-            return complex(ratio ** (-k))
-        return complex(1.0)
-
-    return model
-
-
-def uniform_amplitudes(k: int) -> complex:
-    return complex(1.0)
-
-
-def build_comb(cfg: RamanConfig, amplitude_model=None, ks=None) -> SpectralComb:
+def build_comb(cfg: RamanConfig, ks=None) -> SpectralComb:
     """Comb channels at ladder indices ks from the closed-form ladder.
 
     ks is an increasing run of ladder indices; default S_max_s .. AS_max_as,
-    i.e. range(-max_s, max_as + 2). amplitude_model maps ladder index ->
-    complex amplitude; default is geometric_amplitudes(0.6), a rendering
-    choice with no physics attached.
+    i.e. range(-max_s, max_as + 2). A channel is a frequency and a charge;
+    the waveform gives every channel unit amplitude and zero phase.
     """
-    model = amplitude_model if amplitude_model is not None else geometric_amplitudes(0.6)
     if ks is None:
         ks = range(-cfg.max_s, cfg.max_as + 2)
     channels = []
     for k in ks:
-        label = SidebandLabel.from_ladder_index(k)
+        label = SidebandLabel(k)
         channels.append(
             CombChannel(
                 label=label,
                 omega=sideband_frequency(cfg, label),
                 ell=sideband_charge(cfg, label),
-                amplitude=complex(model(k)),
             )
         )
     return SpectralComb(tuple(channels))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import SidebandLabel, build_comb, uniform_amplitudes
+from .cascade import SidebandLabel, build_comb
 from .config import RunConfig, load_config
 from .errors import ConfigError, NonPeriodicError, VortexCascadeError
 from .grids import GridSpec
@@ -96,15 +96,18 @@ def _put_e9(x: np.ndarray, field: np.ndarray) -> None:
         field[where, 1:4] = np.frombuffer(word, np.uint8)
 
 
-def _float_csv_bytes(header: list[str], *columns: np.ndarray) -> bytes:
-    """The bytes `_write_csv` writes for these float columns at %.9e, built whole-array."""
-    n = len(columns[0])
-    buf = np.zeros((n, 18 * len(columns)), np.uint8)
-    for c, col in enumerate(columns):
-        _put_e9(np.asarray(col, dtype=np.float64), buf[:, 18 * c : 18 * c + 17])
-        buf[:, 18 * c + 17] = ord(",")
-    buf[:, -1] = ord("\n")
-    return (",".join(header) + "\n").encode("ascii") + buf[buf != 0].tobytes()
+def _float_csv_blocks(header: list[str], *columns: np.ndarray):
+    """The bytes `_write_csv` writes for these float columns at %.9e: the header line,
+    then blocks of 2**14 rows built whole-array, so a long record's text is never held whole."""
+    yield (",".join(header) + "\n").encode("ascii")
+    for i in range(0, len(columns[0]), 2**14):
+        block = [np.asarray(col[i : i + 2**14], dtype=np.float64) for col in columns]
+        buf = np.zeros((len(block[0]), 18 * len(block)), np.uint8)
+        for c, col in enumerate(block):
+            _put_e9(col, buf[:, 18 * c : 18 * c + 17])
+            buf[:, 18 * c + 17] = ord(",")
+        buf[:, -1] = ord("\n")
+        yield buf[buf != 0].tobytes()
 
 
 def cmd_comb(cfg: RunConfig, outdir: Path) -> int:
@@ -115,7 +118,7 @@ def cmd_comb(cfg: RunConfig, outdir: Path) -> int:
         rows.append(
             [
                 str(ch.label),
-                str(ch.k),
+                str(ch.label.k),
                 f"{ch.wavelength * 1e9:.4f}",
                 f"{frequency_thz_from_omega(ch.omega):.6f}",
                 str(ch.ell),
@@ -188,14 +191,16 @@ def cmd_pulse(cfg: RunConfig, outdir: Path) -> int:
 
     raman = cfg.raman_config(default_max_as=20, default_max_s=20)
     n = cfg.pulse_channels
-    comb = build_comb(raman, uniform_amplitudes, range(-(n // 2), n - n // 2))
+    comb = build_comb(raman, range(-(n // 2), n - n // 2))
     wave_grid = cfg.time_grid()
     waveform = synthesize_waveform(comb, wave_grid)
 
     outdir.mkdir(parents=True, exist_ok=True)
     header = ["t_seconds", "intensity"]
-    (outdir / "beat.csv").write_bytes(_float_csv_bytes(header, beat_grid.times, beat_intensity))
-    (outdir / "waveform.csv").write_bytes(_float_csv_bytes(header, wave_grid.times, waveform))
+    with open(outdir / "beat.csv", "wb") as fh:
+        fh.writelines(_float_csv_blocks(header, beat_grid.times, beat_intensity))
+    with open(outdir / "waveform.csv", "wb") as fh:
+        fh.writelines(_float_csv_blocks(header, wave_grid.times, waveform))
 
     print(f"target Raman period: {raman_period * 1e15:.3f} fs")
     try:

@@ -132,9 +132,6 @@ class Interferogram:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         _check_carrier(self.carrier, self.wavelength, self.spec)
 
-    def with_carrier_sign_flipped(self) -> "Interferogram":
-        return replace(self, carrier=(-self.carrier[0], -self.carrier[1]))
-
     @cached_property
     def half_spectrum(self) -> np.ndarray:
         """rfft2 of the intensity: the bins kx >= 0, shape (ny, nx//2 + 1).
@@ -354,6 +351,15 @@ def detect_carrier(gram: Interferogram, sign_hint: int = 1) -> tuple[float, floa
     return (fx * gram.wavelength, fy * gram.wavelength)
 
 
+def _carrier_bins(gram: Interferogram, carrier: tuple[float, float]) -> tuple[float, float]:
+    """The carrier's (x, y) offset from DC in spectral bins of the frame."""
+    spec = gram.spec
+    return (
+        carrier[0] / gram.wavelength * spec.nx * spec.dx,
+        carrier[1] / gram.wavelength * spec.ny * spec.dy,
+    )
+
+
 def _demodulate(gram: Interferogram, carrier: tuple[float, float]):
     """Isolate the +carrier sideband on a decimated grid; return (D, I_lowpass, spec).
 
@@ -376,8 +382,7 @@ def _demodulate(gram: Interferogram, carrier: tuple[float, float]):
     """
     spec = gram.spec
     _check_carrier(carrier, gram.wavelength, spec)
-    cbx = carrier[0] / gram.wavelength * spec.nx * spec.dx
-    cby = carrier[1] / gram.wavelength * spec.ny * spec.dy
+    cbx, cby = _carrier_bins(gram, carrier)
     c_mag = math.hypot(cbx, cby)
     if c_mag < 3.0:
         raise ValueError("carrier too close to DC to demodulate")
@@ -558,10 +563,11 @@ def extract_charge(
     if carrier is None:
         carrier = gram.carrier
     if math.hypot(*carrier) / gram.wavelength * min(gram.spec.extent_x, gram.spec.extent_y) < 3.0:
-        detected = detect_carrier(gram, sign_hint)
-        if detected is None:
+        carrier = detect_carrier(gram, sign_hint)
+        # a detected carrier under 3 bins from DC, which _demodulate
+        # refuses, is no carrier
+        if carrier is None or math.hypot(*_carrier_bins(gram, carrier)) < 3.0:
             return ChargeReading(0, 0.0, "circulation")
-        carrier = detected
 
     D, i_lp, spec = _demodulate(gram, carrier)
     env = np.abs(D)

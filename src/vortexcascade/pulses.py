@@ -105,43 +105,33 @@ def chirped_pair_field(pair: ChirpedPulsePair, grid: TimeGrid) -> np.ndarray:
     return _single_chirped(pair, t) + _single_chirped(pair, t - pair.t_d)
 
 
-def synthesize_waveform(
-    comb: SpectralComb, grid: TimeGrid, phases: np.ndarray | None = None
-) -> np.ndarray:
-    """Intensity |sum_k A_k exp(-i omega_k t + i phi_k)|^2 on the grid.
+def synthesize_waveform(comb: SpectralComb, grid: TimeGrid) -> np.ndarray:
+    """Intensity |sum_k exp(-i omega_k t)|^2 on the grid.
 
-    phases holds one value per channel, in channel order; default all zero.
-    For an equally spaced flat-phase comb the result is a pulse train with
-    period 2*pi/spacing.
+    Every channel is a unit line with zero phase. For an equally spaced
+    comb the result is a pulse train with period 2*pi/spacing.
     """
     if len(comb) == 0:
         raise ValueError("comb has no channels")
-    if phases is None:
-        phases = np.zeros(len(comb))
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (len(comb),):
-        raise ValueError(f"need {len(comb)} phases, got shape {phases.shape}")
     omegas = np.array([c.omega for c in comb])
     if float(np.max(np.abs(omegas))) * grid.dt >= math.pi:
         raise AliasingError(
             f"max channel frequency {np.max(np.abs(omegas)):g} rad/s aliases at "
             f"dt={grid.dt:g} s"
         )
-    amps = np.array([c.amplitude for c in comb]) * np.exp(1j * phases)
     t = grid.times
     # one channel at a time, in channel order: the same additions as summing
     # the channels x samples matrix over its rows, without holding it. Each
     # phasor is cos(x) + i*sin(x) of x = -omega*t, the value exp(-1j*omega*t)
-    # takes, without a complex exponential; amp multiplies from the left, as
-    # in amp * phasor, because the product rounds differently the other way
+    # takes, without a complex exponential
     x = np.empty_like(t)
     phasor = np.empty(t.shape, dtype=np.complex128)
     field = np.zeros_like(phasor)
-    for amp, omega in zip(amps, omegas):
+    for omega in omegas:
         np.multiply(-omega, t, out=x)
         np.cos(x, out=phasor.real)
         np.sin(x, out=phasor.imag)
-        field += np.multiply(amp, phasor, out=phasor)
+        field += phasor
     return np.abs(field) ** 2
 
 

@@ -27,11 +27,6 @@ def omega_from_wavenumber_cm(nu_tilde_cm: float) -> float:
     return 2.0 * math.pi * C_LIGHT * 100.0 * nu_tilde_cm
 
 
-def wavenumber_cm_from_omega(omega: float) -> float:
-    """Spectroscopic wavenumber in cm^-1 for an angular frequency."""
-    return omega / (2.0 * math.pi * C_LIGHT * 100.0)
-
-
 def frequency_thz_from_omega(omega: float) -> float:
     """Ordinary frequency in THz for an angular frequency."""
     return omega / (2.0 * math.pi) / 1.0e12

@@ -125,17 +125,17 @@ def test_criterion_4_frequency_ladder():
         as1_nm = 1e7 / (PUMP_CM + SHIFT_CM)
         s1_nm = 1e7 / (PUMP_CM - 2 * SHIFT_CM)
         got_as1 = wavelength_from_omega(
-            sideband_frequency(cfg, SidebandLabel.anti_stokes(1))
+            sideband_frequency(cfg, SidebandLabel(2))
         ) * 1e9
         got_s1 = wavelength_from_omega(
-            sideband_frequency(cfg, SidebandLabel.stokes_order(1))
+            sideband_frequency(cfg, SidebandLabel(-1))
         ) * 1e9
         assert abs(got_as1 - as1_nm) < 0.1
         assert abs(got_s1 - s1_nm) < 0.1
         assert got_as1 == pytest.approx(780.0, abs=0.1)
         assert got_s1 == pytest.approx(843.2, abs=0.1)
         for n in range(1, 21):
-            assert sideband_frequency(cfg, SidebandLabel.anti_stokes(n)) > 0
+            assert sideband_frequency(cfg, SidebandLabel(n + 1)) > 0
 
 
 def test_criterion_5_ring_radius_scaling():
@@ -270,7 +270,6 @@ def test_criterion_8_chirp_matching():
                 label=SidebandLabel.from_ladder_index(k),
                 omega=sideband_frequency(cfg, SidebandLabel.from_ladder_index(k)),
                 ell=sideband_charge(cfg, SidebandLabel.from_ladder_index(k)),
-                amplitude=1.0 + 0.0j,
             )
             for k in range(-2, 3)
         )

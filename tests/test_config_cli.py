@@ -372,13 +372,13 @@ class TestPulseCommand:
     def test_csvs_equal_per_float_formatting(self, tmp_path, monkeypatch, setting):
         # the per-row f-strings the vectorized formatter replaced are the oracle
         written = []
-        original = cli._float_csv_bytes
+        original = cli._float_csv_blocks
 
         def recording(header, *columns):
             written.append((header, columns))
             return original(header, *columns)
 
-        monkeypatch.setattr(cli, "_float_csv_bytes", recording)
+        monkeypatch.setattr(cli, "_float_csv_blocks", recording)
         assert main(["pulse", "--out", str(tmp_path), "--set", setting]) == 0
         assert len(written) == 2
         for name, (header, (times, values)) in zip(["beat.csv", "waveform.csv"], written):
@@ -413,12 +413,12 @@ POWERS_OF_TEN = 10.0 ** np.arange(-323, 309)
 
 
 class TestFloatCsvFormat:
-    """`_float_csv_bytes` against Python's own %.9e, byte for byte."""
+    """`_float_csv_blocks` against Python's own %.9e, byte for byte."""
 
     @given(st.integers(0, 40).flatmap(lambda n: st.tuples(float_arrays(n), float_arrays(n))))
     def test_any_float64_matches_format(self, columns):
         a, b = columns
-        got = cli._float_csv_bytes(["a", "b"], a, b)
+        got = b"".join(cli._float_csv_blocks(["a", "b"], a, b))
         text = "\n".join(f"{x:.9e},{y:.9e}" for x, y in zip(a, b))
         assert got == ("a,b\n" + text + ("\n" if len(a) else "")).encode("ascii")
 
@@ -446,7 +446,7 @@ class TestFloatCsvFormat:
     )
     def test_edge_values(self, value):
         x = np.array([value, -value])
-        assert cli._float_csv_bytes(["x"], x) == e9_oracle(["x"], x)
+        assert b"".join(cli._float_csv_blocks(["x"], x)) == e9_oracle(["x"], x)
 
     def test_powers_of_ten_and_neighbours(self):
         x = np.concatenate(
@@ -457,12 +457,12 @@ class TestFloatCsvFormat:
             ]
         )
         y = -x[::-1]
-        assert cli._float_csv_bytes(["x", "y"], x, y) == e9_oracle(["x", "y"], x, y)
+        assert b"".join(cli._float_csv_blocks(["x", "y"], x, y)) == e9_oracle(["x", "y"], x, y)
 
     def test_random_bit_patterns(self):
         x = np.random.default_rng(5).integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
         y = x[::-1]
-        assert cli._float_csv_bytes(["x", "y"], x, y) == e9_oracle(["x", "y"], x, y)
+        assert b"".join(cli._float_csv_blocks(["x", "y"], x, y)) == e9_oracle(["x", "y"], x, y)
 
 
 @pytest.fixture(scope="module")
@@ -500,6 +500,17 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "ell=+0" in out
         assert "confidence=0.0000" in out
+
+    def test_carrier_detected_near_dc_reads_zero(self, tmp_path, capsys):
+        # half a fringe across the frame: the detected carrier lies under 3
+        # bins from DC, too close to demodulate, so it counts as no carrier
+        x = np.arange(64) - 32
+        r2 = x[None, :] ** 2 + x[:, None] ** 2
+        image = np.exp(-r2 / 24.0**2) * (1.0 + np.cos(2.0 * np.pi * 0.5 * x[None, :] / 64))
+        path = tmp_path / "near_dc.pgm"
+        write_pgm16(path, image)
+        assert main(["analyze", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("ell=+0 confidence=0.0000 ")
 
     def test_missing_or_malformed_image_exits_2(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.pgm"), "--out", str(tmp_path)]) == 2

@@ -1,6 +1,7 @@
 """Fork interferogram synthesis and automated charge readout."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,7 +176,8 @@ class TestExtractCharge:
     def test_flipping_carrier_metadata_negates(self):
         gram = vortex_gram(2)
         assert extract_charge(gram).ell == 2
-        assert extract_charge(gram.with_carrier_sign_flipped()).ell == -2
+        cx, cy = gram.carrier
+        assert extract_charge(replace(gram, carrier=(-cx, -cy))).ell == -2
 
     def test_explicit_carrier_overrides_zero_metadata(self):
         gram = vortex_gram(3)
@@ -893,7 +895,7 @@ class TestOrderPanel:
 
     def test_per_order_errors_do_not_abort_others(self):
         # S39 has negative ladder frequency for these seeds
-        orders = [SidebandLabel.anti_stokes(1), SidebandLabel.stokes_order(39)]
+        orders = [SidebandLabel(2), SidebandLabel(-39)]
         results = analyze_order_panel(panel_config(1, -1), self.geometry(), orders)
         assert results[0].ok and results[0].reading.ell == 3
         assert not results[1].ok
@@ -923,7 +925,7 @@ class TestPanelSink:
 
     def test_sink_sees_each_order_once_in_pair_order(self):
         # S39 is past the end of the ladder: its error reaches the sink too
-        orders = [SidebandLabel.stokes_order(39)] + [
+        orders = [SidebandLabel(-39)] + [
             SidebandLabel.from_ladder_index(k) for k in range(-2, 4)
         ]
         seen = []
@@ -1051,7 +1053,7 @@ class TestMirroredOrdersShareFields:
         cfg = load_config(overrides=["raman_shift_cm1=5000", f"m5_in={m5_in}"]).raman_config(
             default_max_as=2, default_max_s=2
         )
-        orders = [SidebandLabel.anti_stokes(2), SidebandLabel.stokes_order(2)]
+        orders = [SidebandLabel(3), SidebandLabel(-2)]
         as2, s2 = analyze_order_panel(cfg, self.geometry(), orders)
         assert as2.ok and as2.reading.ell == sideband_charge(cfg, as2.label)
         assert s2.status.startswith("error: ladder index -2 reaches ")
