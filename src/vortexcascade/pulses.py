@@ -4,11 +4,22 @@ A pair of identical linearly chirped pulses delayed by t_d beats at
 b*t_d during their overlap; matching that beat to the Raman frequency is
 what drives a single mode selectively. Independently, a sideband comb with
 spacing omega_R synthesizes a pulse train of period 2*pi/omega_R.
+
+The comb synthesis splits its samples into blocks of 2**13. Threads of a
+pool sized to the CPUs the process may run on, and the calling thread,
+claim blocks until none is left. Each block sums every channel in channel
+order and squares its own slice, so no sum crosses a block boundary and the
+waveform's bits do not depend on the number of CPUs. The pool starts on the
+first record longer than one block on a process with two or more CPUs;
+importing the module starts no thread.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +31,13 @@ from .errors import AliasingError, NonPeriodicError
 # std/mean below which a series is constant up to float64 rounding (about
 # 1e-16 for a single-line comb); its autocorrelation then holds only noise
 _ROUNDING_SPREAD = 1.0e-12
+
+# samples per block of the comb synthesis: a block's slices of the synthesis
+# arrays (320 KiB) stay in a core's cache across every channel
+_BLOCK = 2**13
+
+_pool = None
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -120,19 +138,91 @@ def synthesize_waveform(comb: SpectralComb, grid: TimeGrid) -> np.ndarray:
             f"dt={grid.dt:g} s"
         )
     t = grid.times
-    # one channel at a time, in channel order: the same additions as summing
-    # the channels x samples matrix over its rows, without holding it. Each
-    # phasor is cos(x) + i*sin(x) of x = -omega*t, the value exp(-1j*omega*t)
-    # takes, without a complex exponential
+    # the caller makes every array and the blocks write only into their own
+    # slices: buffers made in pool threads would land in per-thread heaps
+    # and raise the process's peak memory
     x = np.empty_like(t)
     phasor = np.empty(t.shape, dtype=np.complex128)
     field = np.zeros_like(phasor)
-    for omega in omegas:
-        np.multiply(-omega, t, out=x)
-        np.cos(x, out=phasor.real)
-        np.sin(x, out=phasor.imag)
-        field += phasor
-    return np.abs(field) ** 2
+    intensity = np.empty_like(t)
+
+    def synthesize_block(i: int) -> None:
+        # one channel at a time, in channel order: the same additions as
+        # summing the channels x samples matrix over its rows, without
+        # holding it. Each phasor is cos(x) + i*sin(x) of x = -omega*t, the
+        # value exp(-1j*omega*t) takes, without a complex exponential
+        s = slice(i * _BLOCK, (i + 1) * _BLOCK)
+        ts, xs, ps, fs = t[s], x[s], phasor[s], field[s]
+        for omega in omegas:
+            np.multiply(-omega, ts, out=xs)
+            np.cos(xs, out=ps.real)
+            np.sin(xs, out=ps.imag)
+            fs += ps
+        np.abs(fs, out=intensity[s])
+        np.square(intensity[s], out=intensity[s])
+
+    _run_blocks(synthesize_block, -(-t.size // _BLOCK))
+    return intensity
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(run, nblocks: int) -> None:
+    """Call run(i) once for each i in range(nblocks), on every usable CPU.
+
+    The caller and up to one pool thread per other CPU claim indices from
+    one counter. Returns once every claimed block is done; raises the error
+    of a block that failed.
+    """
+    claim = itertools.count()
+
+    def drain():
+        for i in claim:
+            if i >= nblocks:
+                return
+            run(i)
+
+    cpus = _usable_cpus()
+    helpers = min(cpus, nblocks) - 1
+    futures = []
+    if helpers > 0:
+        pool = _worker_pool(cpus - 1)
+        futures = [pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        # a helper still queued behind other callers' work has nothing left
+        # to claim; one that started is waited for
+        for future in futures:
+            if not future.cancel():
+                future.result()
+
+
+def _worker_pool(workers: int):
+    """The process's block pool, made on first use with this many threads."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here, so that a process that never reaches the pool
+            # (every command but pulse) does not load it
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="vortexcascade-block")
+            if hasattr(os, "register_at_fork"):
+                os.register_at_fork(after_in_child=_forget_pool)
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool but none of its threads: work handed
+    # to it would sit in its queue for good, holding the caller's arrays
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 def train_period(series: np.ndarray, dt: float) -> float:

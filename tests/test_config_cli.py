@@ -648,3 +648,24 @@ class TestImport:
             check=True,
         )
         assert proc.stdout.strip() == "[]"
+
+    def test_import_and_analyze_start_no_thread(self, figure_dir, tmp_path):
+        # the comb synthesis starts its block pool on first use; importing the
+        # package and reading an image never reach it
+        src = str(Path(vortexcascade.__file__).resolve().parents[1])
+        code = (
+            "import sys, threading; import vortexcascade.cli; "
+            "before = threading.active_count(); "
+            f"code = vortexcascade.cli.main(['analyze', {str(figure_dir / 'fork_P.pgm')!r}, "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(code, before, threading.active_count(), 'concurrent.futures' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "0 1 1 False"

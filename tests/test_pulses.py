@@ -1,12 +1,20 @@
 """Chirped-pulse beating and comb waveform synthesis."""
 
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import vortexcascade
 from vortexcascade import (
     ChirpedPulsePair,
     RamanConfig,
@@ -25,7 +33,7 @@ from vortexcascade.cascade import (
     sideband_frequency,
 )
 from vortexcascade.errors import AliasingError, NonPeriodicError
-from vortexcascade.pulses import delay_for_beat
+from vortexcascade.pulses import _BLOCK, _usable_cpus, delay_for_beat
 from vortexcascade.units import omega_from_wavenumber_cm
 
 # oracle: nu = c*nu_tilde with c = 2.998e10 cm/s gives 9.594 THz and a
@@ -35,6 +43,10 @@ OMEGA_R = omega_from_wavenumber_cm(RAMAN_CM)
 RAMAN_PERIOD = 1.0 / (2.998e10 * RAMAN_CM)
 
 CHIRP_B = 1.0e26  # rad/s^2
+
+# record lengths around the synthesis block: under one block, one block, one
+# sample either side, and a ragged last block
+BLOCK_EDGES = [64, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
 
 
 def matched_pair(tau=800e-15):
@@ -53,6 +65,45 @@ def raman_320_config():
         ell_s=1,
         omega_raman=OMEGA_R,
     )
+
+
+def serial_waveform(comb, grid):
+    """Oracle: the channel loop over the whole record in one thread."""
+    t = grid.times
+    x = np.empty_like(t)
+    phasor = np.empty(t.shape, dtype=np.complex128)
+    field = np.zeros_like(phasor)
+    for channel in comb:
+        np.multiply(-channel.omega, t, out=x)
+        np.cos(x, out=phasor.real)
+        np.sin(x, out=phasor.imag)
+        field += phasor
+    return np.abs(field) ** 2
+
+
+# the default 41-line comb on a record of three blocks and seven samples
+DEFAULT_COMB_CODE = f"""
+from vortexcascade import TimeGrid, pulses
+from vortexcascade.cascade import build_comb
+from vortexcascade.config import load_config
+cfg = load_config(None, [], 0)
+comb = build_comb(cfg.raman_config(default_max_as=20, default_max_s=20), range(-20, 21))
+grid = TimeGrid({3 * _BLOCK + 7}, cfg.dt)
+"""
+
+
+def run_python(code):
+    """Run code in a fresh interpreter on this package; return its stdout."""
+    src = str(Path(vortexcascade.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return proc.stdout
 
 
 def five_channel_comb():
@@ -177,6 +228,70 @@ class TestSynthesizeWaveform:
             matrix = np.exp(-1j * omegas[:, None] * t[None, :])
             expect = np.abs(matrix.sum(axis=0)) ** 2
             assert np.array_equal(synthesize_waveform(comb, grid), expect), len(comb)
+
+    @pytest.mark.parametrize("ks", [range(0, 1), range(-2, 3), range(-20, 21)])
+    @pytest.mark.parametrize("nt", BLOCK_EDGES)
+    def test_blocks_equal_serial_channel_loop(self, nt, ks):
+        comb = build_comb(raman_320_config(), ks)
+        grid = TimeGrid(nt, 0.4e-15)
+        assert np.array_equal(synthesize_waveform(comb, grid), serial_waveform(comb, grid))
+
+    def test_concurrent_callers_get_the_serial_bits(self):
+        # more calling threads than CPUs share the block pool, switching often
+        comb = build_comb(raman_320_config(), range(-20, 21))
+        grid = TimeGrid(3 * _BLOCK + 7, 0.4e-15)
+        expect = serial_waveform(comb, grid)
+        results = [[] for _ in range(4)]
+
+        def call(out):
+            for _ in range(5):
+                out.append(synthesize_waveform(comb, grid))
+
+        threads = [threading.Thread(target=call, args=(out,)) for out in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for out in results:
+            assert len(out) == 5
+            assert all(np.array_equal(w, expect) for w in out)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_one_cpu_runs_in_the_caller(self):
+        code = (
+            "import hashlib, json, os, threading\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            + DEFAULT_COMB_CODE
+            + "w = pulses.synthesize_waveform(comb, grid)\n"
+            "print(json.dumps({'sha': hashlib.sha256(w.tobytes()).hexdigest(),\n"
+            "                  'threads': threading.active_count(), 'pool': pulses._pool is not None}))\n"
+        )
+        namespace = {}
+        exec(DEFAULT_COMB_CODE, namespace)
+        expect = serial_waveform(namespace["comb"], namespace["grid"])
+        sha = hashlib.sha256(expect.tobytes()).hexdigest()
+        assert json.loads(run_python(code)) == {"sha": sha, "threads": 1, "pool": False}
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or _usable_cpus() < 2, reason="no fork or one CPU")
+    def test_forked_child_makes_its_own_pool(self):
+        code = (
+            "import os, threading\n"
+            "import numpy as np\n"
+            + DEFAULT_COMB_CODE
+            + "w = pulses.synthesize_waveform(comb, grid)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    same = np.array_equal(pulses.synthesize_waveform(comb, grid), w)\n"
+            "    os._exit(0 if same and threading.active_count() == 2 else 1)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        assert run_python(code).strip() == "0"
 
     def test_memory_does_not_grow_with_channel_count(self):
         # 41 channels x 2**18 samples: that matrix alone would take 172 MB
