@@ -24,6 +24,9 @@ from .units import omega_from_wavelength, omega_from_wavenumber_cm
 # 2**24 complex samples take 256 MB, and a longer record would be refused
 # by the allocator with a traceback rather than by the configuration
 MAX_RECORD_SAMPLES = 2**24
+# samples per side of the figure3 grid: a 4096**2 complex frame is 256 MB,
+# the size of a record at MAX_RECORD_SAMPLES
+MAX_GRID_N = 4096
 
 
 def _parse_bool(s: str) -> bool:
@@ -69,7 +72,9 @@ class RunConfig:
     m5_in: bool = _key(_parse_bool, False)
     ell_p: int | None = _key(_parse_int, None)
     ell_s: int | None = _key(_parse_int, None)
-    grid_n: int = _key(_parse_int, 512, lambda v: v >= 8, "must be at least 8")
+    grid_n: int = _key(
+        _parse_int, 512, lambda v: 8 <= v <= MAX_GRID_N, f"must be between 8 and {MAX_GRID_N}"
+    )
     grid_pitch_um: float = _key(_parse_float, 25.0, lambda v: v > 0, "must be positive")
     waist_mm: float = _key(_parse_float, 1.0, lambda v: v > 0, "must be positive")
     fringes: float | None = _key(_parse_float, None, lambda v: v > 0, "must be positive")
@@ -101,6 +106,12 @@ class RunConfig:
                 f"fringes {self.fringes:g} puts the carrier at or beyond the Nyquist "
                 f"angle: it must stay below grid_n/2 = {self.grid_n / 2:g}",
                 key="fringes",
+            )
+        if self.waist < 4.0 * (self.grid_pitch_um * 1e-6):  # lg_mode_field's test
+            raise ConfigError(
+                f"waist_mm {self.waist_mm:g} is under-resolved: a waist needs at least "
+                f"4 samples, 4*grid_pitch_um = {4.0 * self.grid_pitch_um:g} um",
+                key="waist_mm",
             )
 
     # -- derived quantities ------------------------------------------------

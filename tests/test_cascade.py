@@ -333,6 +333,48 @@ class TestSpatialSideband:
             assert r == pytest.approx(0.8e-3 / math.sqrt(2.0), rel=0.05)
 
 
+class TestObservedSidebandClosedForm:
+    """observed_sideband of LG_0 seeds of one waist w, against its closed form.
+
+    With ell_p = -ell_s = +-1, the source of order k is p^a * conj(s)^b (or
+    its Stokes mirror) with a + b = |2k - 1| = |L|: (x + i*sgn(L)*y)^|L| *
+    exp(-(a + b)*r^2/w^2). Its Fraunhofer transform is
+    (kx + i*sgn(L)*ky)^|L| * exp(-k^2*w^2/(4*(a + b))) up to one complex
+    constant (Allen et al., PRA 45, 8185, 1992), with k = 2*pi*x/(lambda*f).
+    Seeds moved off axis to (x0, y0) multiply it by exp(-i*k.(x0, y0)), which
+    pins the transform's orientation: a far field turned by 180 degrees
+    differs from the centred closed form only by the constant (-1)^|L|.
+    The m5_in=true set (every order L = +1, a + b = 2k - 1 != |L|) is a
+    different closed form and is not covered here.
+    """
+
+    @pytest.mark.parametrize("shift", [(0, 0), (-4, 6)])  # (rows, columns)
+    @pytest.mark.parametrize("ell_p", [1, -1])
+    def test_orders_match_fraunhofer_closed_form(self, ell_p, shift):
+        spec, w = GridSpec.square(256, 50e-6), 1e-3
+        cfg = make_config(ell_p=ell_p, ell_s=-ell_p)
+        seeds = []
+        for ell, omega in ((ell_p, cfg.omega_p), (-ell_p, cfg.omega_s)):
+            beam = BeamParams(w, wavelength_from_omega(omega))
+            seed = lg_mode_field(LGModeIndex(0, ell), beam, spec)
+            seeds.append(seed.with_values(np.roll(seed.values, shift, axis=(0, 1))))
+        y0, x0 = shift[0] * spec.dy, shift[1] * spec.dx
+        lam_f = 4 * spec.nx * spec.dx**2  # the default focal length's lambda*f
+        for k in range(-2, 4):  # S2..AS2
+            label = SidebandLabel.from_ladder_index(k)
+            ff = observed_sideband(*seeds, label, oversample=4)
+            ell = sideband_charge(cfg, label)
+            assert abs(ell) == abs(2 * k - 1)
+            kx = 2 * np.pi * ff.spec.x[None, :] / lam_f
+            ky = 2 * np.pi * ff.spec.y[:, None] / lam_f
+            model = (kx + 1j * np.sign(ell) * ky) ** abs(ell) * np.exp(
+                -(kx**2 + ky**2) * w**2 / (4 * abs(2 * k - 1)) - 1j * (kx * x0 + ky * y0)
+            )
+            c = np.vdot(model, ff.values) / np.vdot(model, model)
+            residual = np.linalg.norm(ff.values - c * model) / np.linalg.norm(ff.values)
+            assert residual <= 1e-12, (str(label), residual)
+
+
 class TestComb:
     def test_twenty_anti_stokes_channels(self):
         comb = build_comb(make_config())

@@ -120,6 +120,13 @@ grid_n = 128
         assert err.value.key == key
         assert key in str(err.value)
 
+    def test_waist_under_four_samples_refused(self):
+        # lg_mode_field's resolution rule, checked where the keys are read
+        with pytest.raises(ConfigError) as err:
+            RunConfig(grid_pitch_um=50.0, waist_mm=0.199)
+        assert err.value.key == "waist_mm"
+        assert RunConfig(grid_pitch_um=50.0, waist_mm=0.2).waist_mm == 0.2
+
     def test_readme_example_config_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
@@ -285,12 +292,31 @@ class TestFigure3Command:
         assert by_label["S39"]["status"].startswith("error")
         assert by_label["P"]["status"] == "ok"
 
-    def test_unresolvable_waist_exits_one(self, tmp_path):
-        # the seeds fail before any order is read, so no directory is made
+    def test_unresolvable_waist_exits_two(self, tmp_path, capsys):
+        # a waist under 4 samples is refused with the configuration, before
+        # any work; it used to fail in the seeds' synthesis with exit code 1
+        for sets in (FAST_FIGURE3 + ["--set", "waist_mm=0.05"],
+                     ["--set", "grid_n=16", "--set", "waist_mm=0.01"]):
+            out = tmp_path / "out"
+            assert main(["figure3", "--out", str(out)] + sets) == 2, sets
+            assert capsys.readouterr().err.startswith("error: waist_mm "), sets
+            assert not out.exists(), sets
+
+    def test_huge_grid_exits_two_before_any_allocation(self, tmp_path, capsys):
+        # grid_n=100000 asked numpy for 74.5 GiB and ended in a traceback
         out = tmp_path / "out"
-        args = ["figure3", "--out", str(out)] + FAST_FIGURE3 + ["--set", "waist_mm=0.05"]
-        assert main(args) == 1
+        tracemalloc.start()
+        try:
+            assert main(["figure3", "--out", str(out), "--set", "grid_n=100000"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert "grid_n must be between 8 and 4096" in capsys.readouterr().err
         assert not out.exists()
+        assert load_config(overrides=["grid_n=4096"]).grid_n == 4096
+        with pytest.raises(ConfigError):
+            load_config(overrides=["grid_n=4097"])
 
     def test_orders_written_as_their_pairs_finish(self, tmp_path, monkeypatch):
         # each order's two images are on disk before the next order is read
