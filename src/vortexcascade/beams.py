@@ -262,7 +262,7 @@ def far_field(
         dx=lam_f / (npx * spec.dx),
         dy=lam_f / (npy * spec.dy),
     )
-    return ComplexFieldGrid(out_spec, lam, transformed)
+    return ComplexFieldGrid(out_spec, lam, transformed, _adopt=True)  # held nowhere else
 
 
 def azimuthal_profile(

@@ -43,18 +43,35 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
+# 10^k for k in [-300, 300], indexed by k + 300: the values 10.0**k gives
+_POW10 = 10.0 ** np.arange(-300, 301)
+# the four ASCII digits of 0..9999, each as one native-order uint32
+_DIGITS4 = (
+    (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
+    .astype(np.uint8)
+    .view(np.uint32)
+    .ravel()
+)
+# the exponent text e+dd or e-ddd of e in [-325, 309], zero-padded to 8 bytes,
+# indexed by e + 325
+_EXP_TEXT = np.array([b"e%+03d" % e for e in range(-325, 310)], dtype="S8").view(np.uint64)
+# slots of one value's text: sign, d, ., 9 digits, and the 8 of the exponent
+_E9_WIDTH = 20
+
+
 def _put_e9(x: np.ndarray, field: np.ndarray) -> None:
     """Write each value's f"{v:.9e}" text into its row of the uint8 `field`.
 
-    A row has the 17 slots of the widest text, -d.ddddddddde-ddd; a slot a
-    value does not use (the sign of a positive value, the hundreds digit of
-    a 2-digit exponent, the tail of nan or inf) is left 0, so dropping the
-    zeros gives format's text. The digits are the integer mantissa
-    m = rint(|x|*10^(9-e)) with e = floor(log10|x|), both corrected to put
-    m in [1e9, 1e10). The product is a few ulp off the exact one, which
-    only matters where its fraction lies near .5: those few values take
-    their digits from format() itself, which rounds half to even on the
-    exact binary value.
+    A row has _E9_WIDTH slots: the sign, the ten mantissa digits around the
+    point, and eight for the exponent's text. A slot a value does not use (the
+    sign of a positive value, the zero padding after an exponent, the tail of
+    nan or inf) is left 0, so dropping the zeros gives format's text. The
+    digits are the integer mantissa m = rint(|x|*10^(9-e)) with
+    e = floor(log10|x|), both corrected to put m in [1e9, 1e10); they are
+    written as one digit, two 4-digit table entries and one digit. The
+    product is a few ulp off the exact one, which only matters where its
+    fraction lies near .5: those few values take their digits from format()
+    itself, which rounds half to even on the exact binary value.
     """
     a = np.abs(x)
     nonzero = np.isfinite(a) & (a > 0)
@@ -64,7 +81,9 @@ def _put_e9(x: np.ndarray, field: np.ndarray) -> None:
     def scaled(e):
         k = 9 - e
         k1 = np.minimum(k, 300)  # 10^k overflows for k > 308; subnormals reach k = 333
-        return a * 10.0**k1 * 10.0 ** (k - k1)
+        s = a * _POW10[k1 + 300]
+        s *= _POW10[k - k1 + 300]
+        return s
 
     s = scaled(e)
     e += s >= 1e10
@@ -81,16 +100,14 @@ def _put_e9(x: np.ndarray, field: np.ndarray) -> None:
 
     field[:, 0] = np.where(np.signbit(x) & ~np.isnan(x), ord("-"), 0)
     hi, lo = (part.astype(np.int32) for part in np.divmod(m, 10**5))  # int32 divides ~2x faster
-    for part, slots in ((hi, (1, 3, 4, 5, 6)), (lo, (7, 8, 9, 10, 11))):
-        for j, slot in enumerate(slots):
-            field[:, slot] = part // 10 ** (4 - j) % 10 + ord("0")
+    first, hi = np.divmod(hi, 10**4)
+    lo, last = np.divmod(lo, 10)
+    field[:, 1] = first + ord("0")
     field[:, 2] = ord(".")
-    field[:, 12] = ord("e")
-    field[:, 13] = np.where(e < 0, ord("-"), ord("+"))
-    e = np.abs(e)
-    field[:, 14] = np.where(e >= 100, e // 100 + ord("0"), 0)
-    field[:, 15] = e // 10 % 10 + ord("0")
-    field[:, 16] = e % 10 + ord("0")
+    field[:, 3:7].view(np.uint32)[:, 0] = _DIGITS4[hi]
+    field[:, 7:11].view(np.uint32)[:, 0] = _DIGITS4[lo]
+    field[:, 11] = last + ord("0")
+    field[:, 12:20].view(np.uint64)[:, 0] = _EXP_TEXT[e + 325]
     for word, where in ((b"nan", np.isnan(x)), (b"inf", np.isinf(x))):
         field[where, 1:] = 0
         field[where, 1:4] = np.frombuffer(word, np.uint8)
@@ -100,12 +117,13 @@ def _float_csv_blocks(header: list[str], *columns: np.ndarray):
     """The bytes `_write_csv` writes for these float columns at %.9e: the header line,
     then blocks of 2**14 rows built whole-array, so a long record's text is never held whole."""
     yield (",".join(header) + "\n").encode("ascii")
+    w = _E9_WIDTH + 1
     for i in range(0, len(columns[0]), 2**14):
         block = [np.asarray(col[i : i + 2**14], dtype=np.float64) for col in columns]
-        buf = np.zeros((len(block[0]), 18 * len(block)), np.uint8)
+        buf = np.zeros((len(block[0]), w * len(block)), np.uint8)
         for c, col in enumerate(block):
-            _put_e9(col, buf[:, 18 * c : 18 * c + 17])
-            buf[:, 18 * c + 17] = ord(",")
+            _put_e9(col, buf[:, w * c : w * c + _E9_WIDTH])
+            buf[:, w * c + _E9_WIDTH] = ord(",")
         buf[:, -1] = ord("\n")
         yield buf[buf != 0].tobytes()
 

@@ -9,7 +9,7 @@ far-field transform expects.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -70,17 +70,28 @@ class ComplexFieldGrid:
 
     Power is sum(|u|^2) * dx * dy. Instances are immutable: the value array
     is copied on construction and marked read-only (with_wavelength shares
-    it with the new instance).
+    it with the new instance). With _adopt=True a C-ordered complex128 array
+    is kept itself, made read-only: that is for a caller in this package
+    that has just made the array and holds no other view of it, such as
+    far_field's output.
     """
 
     spec: GridSpec
     wavelength: float
     values: np.ndarray
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt: bool):
         if self.wavelength <= 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        vals = np.array(self.values, dtype=np.complex128, copy=True, order="C")
+        vals = self.values
+        if not (
+            _adopt
+            and isinstance(vals, np.ndarray)
+            and vals.dtype == np.complex128
+            and vals.flags.c_contiguous
+        ):
+            vals = np.array(vals, dtype=np.complex128, copy=True, order="C")
         if vals.shape != (self.spec.ny, self.spec.nx):
             raise ValueError(
                 f"values shape {vals.shape} does not match grid "

@@ -22,11 +22,18 @@ def write_pgm16(path, intensity: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise ValueError("intensity must be finite and non-negative")
     peak = float(arr.max())
-    scaled = np.zeros_like(arr) if peak == 0.0 else arr / peak * PGM_MAXVAL
-    data = np.round(scaled).astype(">u2")
+    if peak == 0.0:
+        scaled = np.zeros_like(arr)
+    else:
+        # arr / peak * PGM_MAXVAL, rounded, in the one new array
+        scaled = arr / peak
+        scaled *= PGM_MAXVAL
+        np.round(scaled, out=scaled)
+    data = scaled.astype(">u2")
     ny, nx = arr.shape
-    header = f"P5\n{nx} {ny}\n{PGM_MAXVAL}\n".encode("ascii")
-    Path(path).write_bytes(header + data.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{nx} {ny}\n{PGM_MAXVAL}\n".encode("ascii"))
+        fh.write(data)
 
 
 def read_pgm16(path) -> np.ndarray:

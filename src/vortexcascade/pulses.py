@@ -5,21 +5,16 @@ b*t_d during their overlap; matching that beat to the Raman frequency is
 what drives a single mode selectively. Independently, a sideband comb with
 spacing omega_R synthesizes a pulse train of period 2*pi/omega_R.
 
-The comb synthesis splits its samples into blocks of 2**13. Threads of a
-pool sized to the CPUs the process may run on, and the calling thread,
-claim blocks until none is left. Each block sums every channel in channel
-order and squares its own slice, so no sum crosses a block boundary and the
-waveform's bits do not depend on the number of CPUs. The pool starts on the
-first record longer than one block on a process with two or more CPUs;
-importing the module starts no thread.
+The comb's lines have unit amplitude, zero phase and equal spacing D, so
+its intensity is the Dirichlet kernel |sum_k exp(-i w_k t)|^2 =
+sin^2(N D t/2) / sin^2(D t/2), whatever the lowest line. It is evaluated on
+t reduced to its nearest train period, where every peak sits at D t/2 = 0
+and sin keeps its relative precision; the synthesis starts no thread.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,15 +24,14 @@ from .cascade import SpectralComb
 from .errors import AliasingError, NonPeriodicError
 
 # std/mean below which a series is constant up to float64 rounding (about
-# 1e-16 for a single-line comb); its autocorrelation then holds only noise
+# 1e-16 for |exp(-i omega t)|^2 as cos^2 + sin^2); its autocorrelation then
+# holds only noise
 _ROUNDING_SPREAD = 1.0e-12
 
-# samples per block of the comb synthesis: a block's slices of the synthesis
-# arrays (320 KiB) stay in a core's cache across every channel
-_BLOCK = 2**13
-
-_pool = None
-_pool_lock = threading.Lock()
+# spread of a comb's line spacings, relative to its largest frequency, that
+# rounding each line to float64 can leave (the built combs' spacings are
+# bit-equal); a wider spread is a comb the Dirichlet kernel does not describe
+_SPACING_ROUNDING = 4.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -101,8 +95,14 @@ def delay_for_beat(b: float, omega_target: float) -> float:
 
 
 def _single_chirped(pair: ChirpedPulsePair, t: np.ndarray) -> np.ndarray:
-    envelope = np.exp(-(t**2) / (2.0 * pair.tau**2))
-    return envelope * np.exp(1j * (0.5 * pair.b * t**2))
+    # the phasor as cos + i*sin, the value exp(1j*phase) takes, without a
+    # complex exponential, then scaled by the envelope in place
+    phase = 0.5 * pair.b * t**2
+    field = np.empty(t.shape, np.complex128)
+    np.cos(phase, out=field.real)
+    np.sin(phase, out=field.imag)
+    field *= np.exp(-(t**2) / (2.0 * pair.tau**2))
+    return field
 
 
 def chirped_pair_field(pair: ChirpedPulsePair, grid: TimeGrid) -> np.ndarray:
@@ -126,8 +126,10 @@ def chirped_pair_field(pair: ChirpedPulsePair, grid: TimeGrid) -> np.ndarray:
 def synthesize_waveform(comb: SpectralComb, grid: TimeGrid) -> np.ndarray:
     """Intensity |sum_k exp(-i omega_k t)|^2 on the grid.
 
-    Every channel is a unit line with zero phase. For an equally spaced
-    comb the result is a pulse train with period 2*pi/spacing.
+    Every channel is a unit line with zero phase, and the lines must be
+    equally spaced (ValueError otherwise). The result is the pulse train
+    sin^2(N x)/sin^2(x) with x = spacing*t/2, of period 2*pi/spacing, and
+    N^2 where sin(x) is 0.
     """
     if len(comb) == 0:
         raise ValueError("comb has no channels")
@@ -137,92 +139,30 @@ def synthesize_waveform(comb: SpectralComb, grid: TimeGrid) -> np.ndarray:
             f"max channel frequency {np.max(np.abs(omegas)):g} rad/s aliases at "
             f"dt={grid.dt:g} s"
         )
+    n = len(omegas)
+    if n == 1:  # no spacing: one unit line is 1 everywhere
+        return np.ones(grid.nt)
+    if np.ptp(np.diff(omegas)) > _SPACING_ROUNDING * float(np.max(np.abs(omegas))):
+        raise ValueError("comb lines are not equally spaced")
+    half_spacing = 0.5 * (omegas[-1] - omegas[0]) / (n - 1)
+    period = math.pi / half_spacing
     t = grid.times
-    # the caller makes every array and the blocks write only into their own
-    # slices: buffers made in pool threads would land in per-thread heaps
-    # and raise the process's peak memory
-    x = np.empty_like(t)
-    phasor = np.empty(t.shape, dtype=np.complex128)
-    field = np.zeros_like(phasor)
-    intensity = np.empty_like(t)
-
-    def synthesize_block(i: int) -> None:
-        # one channel at a time, in channel order: the same additions as
-        # summing the channels x samples matrix over its rows, without
-        # holding it. Each phasor is cos(x) + i*sin(x) of x = -omega*t, the
-        # value exp(-1j*omega*t) takes, without a complex exponential
-        s = slice(i * _BLOCK, (i + 1) * _BLOCK)
-        ts, xs, ps, fs = t[s], x[s], phasor[s], field[s]
-        for omega in omegas:
-            np.multiply(-omega, ts, out=xs)
-            np.cos(xs, out=ps.real)
-            np.sin(xs, out=ps.imag)
-            fs += ps
-        np.abs(fs, out=intensity[s])
-        np.square(intensity[s], out=intensity[s])
-
-    _run_blocks(synthesize_block, -(-t.size // _BLOCK))
-    return intensity
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _run_blocks(run, nblocks: int) -> None:
-    """Call run(i) once for each i in range(nblocks), on every usable CPU.
-
-    The caller and up to one pool thread per other CPU claim indices from
-    one counter. Returns once every claimed block is done; raises the error
-    of a block that failed.
-    """
-    claim = itertools.count()
-
-    def drain():
-        for i in claim:
-            if i >= nblocks:
-                return
-            run(i)
-
-    cpus = _usable_cpus()
-    helpers = min(cpus, nblocks) - 1
-    futures = []
-    if helpers > 0:
-        pool = _worker_pool(cpus - 1)
-        futures = [pool.submit(drain) for _ in range(helpers)]
-    try:
-        drain()
-    finally:
-        # a helper still queued behind other callers' work has nothing left
-        # to claim; one that started is waited for
-        for future in futures:
-            if not future.cancel():
-                future.result()
-
-
-def _worker_pool(workers: int):
-    """The process's block pool, made on first use with this many threads."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here, so that a process that never reaches the pool
-            # (every command but pulse) does not load it
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="vortexcascade-block")
-            if hasattr(os, "register_at_fork"):
-                os.register_at_fork(after_in_child=_forget_pool)
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool but none of its threads: work handed
-    # to it would sit in its queue for good, holding the caller's arrays
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    # x = spacing*t'/2 with t' = t - period*rint(t/period) in [-period/2,
+    # period/2]: the peaks sit at x = 0, where sin(x) keeps its relative
+    # precision (reduced into [0, period), the peaks near x = pi lose digits)
+    x = np.divide(t, period)
+    np.rint(x, out=x)
+    x *= period
+    np.subtract(t, x, out=x)
+    x *= half_spacing
+    den = np.sin(x)
+    x *= n
+    kernel = np.sin(x, out=x)
+    centre = den == 0.0
+    den[centre] = 1.0
+    kernel /= den
+    kernel[centre] = n
+    return np.square(kernel, out=kernel)
 
 
 def train_period(series: np.ndarray, dt: float) -> float:

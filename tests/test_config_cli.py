@@ -676,8 +676,8 @@ class TestImport:
         assert proc.stdout.strip() == "[]"
 
     def test_import_and_analyze_start_no_thread(self, figure_dir, tmp_path):
-        # the comb synthesis starts its block pool on first use; importing the
-        # package and reading an image never reach it
+        # importing the package and reading an image start no thread and load
+        # no executor
         src = str(Path(vortexcascade.__file__).resolve().parents[1])
         code = (
             "import sys, threading; import vortexcascade.cli; "

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,8 @@ from vortexcascade.cascade import (
     sideband_frequency,
 )
 from vortexcascade.errors import AliasingError, NonPeriodicError
-from vortexcascade.pulses import _BLOCK, _usable_cpus, delay_for_beat
+from vortexcascade.cli import main
+from vortexcascade.pulses import delay_for_beat
 from vortexcascade.units import omega_from_wavenumber_cm
 
 # oracle: nu = c*nu_tilde with c = 2.998e10 cm/s gives 9.594 THz and a
@@ -44,9 +46,13 @@ RAMAN_PERIOD = 1.0 / (2.998e10 * RAMAN_CM)
 
 CHIRP_B = 1.0e26  # rad/s^2
 
-# record lengths around the synthesis block: under one block, one block, one
-# sample either side, and a ragged last block
-BLOCK_EDGES = [64, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+# record lengths: the shortest, odd and even lengths around 2**13, and one
+# that is neither a power of two nor a multiple of one
+RECORD_LENGTHS = [64, 2**13 - 1, 2**13, 2**13 + 1, 3 * 2**13 + 7]
+
+# largest |closed form - channel loop| allowed, as a fraction of the peak N^2:
+# the loop's own phases -omega*t are rounded to a few 1e-12 of the peak
+ORACLE_TOLERANCE = 1e-11
 
 
 def matched_pair(tau=800e-15):
@@ -68,7 +74,7 @@ def raman_320_config():
 
 
 def serial_waveform(comb, grid):
-    """Oracle: the channel loop over the whole record in one thread."""
+    """Oracle: the sum of the channels' phasors at every sample, squared."""
     t = grid.times
     x = np.empty_like(t)
     phasor = np.empty(t.shape, dtype=np.complex128)
@@ -81,14 +87,20 @@ def serial_waveform(comb, grid):
     return np.abs(field) ** 2
 
 
-# the default 41-line comb on a record of three blocks and seven samples
+def assert_matches_channel_loop(comb, grid, expect=None):
+    expect = serial_waveform(comb, grid) if expect is None else expect
+    err = float(np.max(np.abs(synthesize_waveform(comb, grid) - expect)))
+    assert err <= ORACLE_TOLERANCE * len(comb) ** 2, (len(comb), grid.nt, err)
+
+
+# the default 41-line comb on a record that is not a power of two
 DEFAULT_COMB_CODE = f"""
 from vortexcascade import TimeGrid, pulses
 from vortexcascade.cascade import build_comb
 from vortexcascade.config import load_config
 cfg = load_config(None, [], 0)
 comb = build_comb(cfg.raman_config(default_max_as=20, default_max_s=20), range(-20, 21))
-grid = TimeGrid({3 * _BLOCK + 7}, cfg.dt)
+grid = TimeGrid({RECORD_LENGTHS[-1]}, cfg.dt)
 """
 
 
@@ -166,6 +178,18 @@ class TestChirpedPairField:
         intensity = np.abs(chirped_pair_field(pair, grid)) ** 2
         assert train_period(intensity, grid.dt) == pytest.approx(RAMAN_PERIOD, rel=0.01)
 
+    def test_intensity_equals_complex_exponential_form(self):
+        # oracle: each pulse as envelope * exp(1j * phase), bit for bit
+        pair = matched_pair()
+        grid = pair_grid(pair, nt=2**16)
+        t = grid.times
+
+        def pulse(t):
+            return np.exp(-(t**2) / (2.0 * pair.tau**2)) * np.exp(1j * (0.5 * pair.b * t**2))
+
+        expect = np.abs(pulse(t) + pulse(t - pair.t_d)) ** 2
+        assert np.array_equal(np.abs(chirped_pair_field(pair, grid)) ** 2, expect)
+
     def test_span_guard(self):
         pair = matched_pair(tau=2e-12)
         with pytest.raises(ValueError):
@@ -219,28 +243,58 @@ class TestSynthesizeWaveform:
 
     def test_equals_channel_matrix_sum(self):
         # oracle: the channels x samples matrix, summed over its rows; the
-        # comb and pulse commands' windows and the five-line comb
+        # comb and pulse commands' windows, five, two and one lines
         grid = TimeGrid(4096, 0.4e-15)
         t = grid.times
-        for ks in (None, range(-20, 21), range(-2, 3)):
+        for ks in (None, range(-20, 21), range(-2, 3), range(0, 2), range(0, 1)):
             comb = build_comb(raman_320_config(), ks)
             omegas = np.array([c.omega for c in comb])
             matrix = np.exp(-1j * omegas[:, None] * t[None, :])
-            expect = np.abs(matrix.sum(axis=0)) ** 2
-            assert np.array_equal(synthesize_waveform(comb, grid), expect), len(comb)
+            assert_matches_channel_loop(comb, grid, np.abs(matrix.sum(axis=0)) ** 2)
 
-    @pytest.mark.parametrize("ks", [range(0, 1), range(-2, 3), range(-20, 21)])
-    @pytest.mark.parametrize("nt", BLOCK_EDGES)
+    @pytest.mark.parametrize("ks", [range(0, 1), range(-2, 3), range(-20, 21), range(0, 2)])
+    @pytest.mark.parametrize("nt", RECORD_LENGTHS)
     def test_blocks_equal_serial_channel_loop(self, nt, ks):
         comb = build_comb(raman_320_config(), ks)
-        grid = TimeGrid(nt, 0.4e-15)
-        assert np.array_equal(synthesize_waveform(comb, grid), serial_waveform(comb, grid))
+        assert_matches_channel_loop(comb, TimeGrid(nt, 0.4e-15))
+
+    def test_benchmark_record_matches_channel_loop(self):
+        # the pulse item of the benchmark: 41 lines over 2**18 samples, where
+        # t reaches 500 train periods from 0
+        comb = build_comb(raman_320_config(), range(-20, 21))
+        assert_matches_channel_loop(comb, TimeGrid(2**18, 0.4e-15))
+
+    def test_unequal_spacings_refused(self):
+        lines = five_channel_comb().channels
+        with pytest.raises(ValueError, match="equally spaced"):
+            synthesize_waveform(SpectralComb((lines[0], lines[1], lines[3])), TimeGrid(64, 0.4e-15))
+        # one line moved by a millionth of the spacing, far past rounding
+        spacing = lines[1].omega - lines[0].omega
+        moved = replace(lines[2], omega=lines[2].omega + 1e-6 * spacing)
+        with pytest.raises(ValueError, match="equally spaced"):
+            synthesize_waveform(SpectralComb(lines[:2] + (moved,) + lines[3:]), TimeGrid(64, 0.4e-15))
+
+    @pytest.mark.parametrize(
+        "channels,line",
+        [
+            (1, "comb train: no periodic structure detected"),
+            (2, "comb train period: 104.047 fs (relative error vs Raman: 0.18%)"),
+            (5, "comb train period: 104.143 fs (relative error vs Raman: 0.09%)"),
+            (41, "comb train period: 104.240 fs (relative error vs Raman: 0.00%)"),
+        ],
+    )
+    def test_printed_train_period(self, tmp_path, capsys, channels, line):
+        # the periods the channel loop's waveforms gave at the default record
+        argv = ["pulse", "--out", str(tmp_path), "--set", "match=true",
+                "--set", f"pulse_channels={channels}"]
+        assert main(argv) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_concurrent_callers_get_the_serial_bits(self):
-        # more calling threads than CPUs share the block pool, switching often
+        # more calling threads than CPUs, switching often, get one call's bits
         comb = build_comb(raman_320_config(), range(-20, 21))
-        grid = TimeGrid(3 * _BLOCK + 7, 0.4e-15)
-        expect = serial_waveform(comb, grid)
+        grid = TimeGrid(RECORD_LENGTHS[-1], 0.4e-15)
+        expect = synthesize_waveform(comb, grid)
         results = [[] for _ in range(4)]
 
         def call(out):
@@ -270,28 +324,13 @@ class TestSynthesizeWaveform:
             + DEFAULT_COMB_CODE
             + "w = pulses.synthesize_waveform(comb, grid)\n"
             "print(json.dumps({'sha': hashlib.sha256(w.tobytes()).hexdigest(),\n"
-            "                  'threads': threading.active_count(), 'pool': pulses._pool is not None}))\n"
+            "                  'threads': threading.active_count()}))\n"
         )
         namespace = {}
         exec(DEFAULT_COMB_CODE, namespace)
-        expect = serial_waveform(namespace["comb"], namespace["grid"])
+        expect = synthesize_waveform(namespace["comb"], namespace["grid"])
         sha = hashlib.sha256(expect.tobytes()).hexdigest()
-        assert json.loads(run_python(code)) == {"sha": sha, "threads": 1, "pool": False}
-
-    @pytest.mark.skipif(not hasattr(os, "fork") or _usable_cpus() < 2, reason="no fork or one CPU")
-    def test_forked_child_makes_its_own_pool(self):
-        code = (
-            "import os, threading\n"
-            "import numpy as np\n"
-            + DEFAULT_COMB_CODE
-            + "w = pulses.synthesize_waveform(comb, grid)\n"
-            "pid = os.fork()\n"
-            "if pid == 0:\n"
-            "    same = np.array_equal(pulses.synthesize_waveform(comb, grid), w)\n"
-            "    os._exit(0 if same and threading.active_count() == 2 else 1)\n"
-            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
-        )
-        assert run_python(code).strip() == "0"
+        assert json.loads(run_python(code)) == {"sha": sha, "threads": 1}
 
     def test_memory_does_not_grow_with_channel_count(self):
         # 41 channels x 2**18 samples: that matrix alone would take 172 MB
