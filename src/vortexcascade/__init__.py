@@ -39,8 +39,6 @@ from .interferometry import (
     PanelGeometry,
     analyze_order_panel,
     extract_charge,
-    fork_fringe_count,
-    fringe_visibility,
     synthesize_interferogram,
 )
 from .pulses import (
@@ -82,8 +80,6 @@ __all__ = [
     "decompose",
     "extract_charge",
     "far_field",
-    "fork_fringe_count",
-    "fringe_visibility",
     "gaussian_field",
     "lg_mode_field",
     "observed_sideband",

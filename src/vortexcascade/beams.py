@@ -317,23 +317,6 @@ def loop_sample_count(spec: GridSpec, radius: float) -> int:
     return max(512, 16 * int(math.ceil(radius / min(spec.dx, spec.dy))))
 
 
-def sample_on_circle(
-    values: np.ndarray,
-    spec: GridSpec,
-    radius: float,
-    n_samples: int,
-    center_xy: tuple[float, float] = (0.0, 0.0),
-    angle0: float = 0.0,
-) -> np.ndarray:
-    """Bilinear samples of a grid's values on a circle around center_xy (meters).
-
-    Points off the grid take the value at the nearest grid coordinate: the
-    sample coordinates are clamped to [0, n - 1] on each axis.
-    """
-    ang = angle0 + 2.0 * math.pi * np.arange(n_samples) / n_samples
-    return sample_at_angles(values, spec, radius, ang, center_xy)
-
-
 def sample_at_angles(
     values: np.ndarray,
     spec: GridSpec,
@@ -341,10 +324,12 @@ def sample_at_angles(
     ang: np.ndarray,
     center_xy: tuple[float, float] = (0.0, 0.0),
 ) -> np.ndarray:
-    """Bilinear samples at center_xy + radius*(cos, sin)(ang), as sample_on_circle.
+    """Bilinear samples of a grid's values at center_xy + radius*(cos, sin)(ang).
 
-    radius may be an array matching ang, so several circles are sampled in
-    one pass; each sample is computed as on its own circle.
+    center_xy and radius are in meters. radius may be an array matching ang,
+    so several circles are sampled in one pass; each sample is computed as on
+    its own circle. Points off the grid take the value at the nearest grid
+    coordinate: the sample coordinates are clamped to [0, n - 1] on each axis.
     """
     px = center_xy[0] + radius * np.cos(ang)
     py = center_xy[1] + radius * np.sin(ang)

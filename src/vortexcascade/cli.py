@@ -125,7 +125,7 @@ def _float_csv_blocks(header: list[str], *columns: np.ndarray):
             _put_e9(col, buf[:, w * c : w * c + _E9_WIDTH])
             buf[:, w * c + _E9_WIDTH] = ord(",")
         buf[:, -1] = ord("\n")
-        yield buf[buf != 0].tobytes()
+        yield buf[buf != 0]
 
 
 def cmd_comb(cfg: RunConfig, outdir: Path) -> int:
@@ -182,7 +182,7 @@ def cmd_figure3(cfg: RunConfig, outdir: Path) -> int:
                     str(res.label.k),
                     str(res.reading.ell),
                     f"{res.reading.confidence:.4f}",
-                    res.reading.method,
+                    "circulation",
                     "ok",
                 ]
             )
@@ -268,12 +268,12 @@ def cmd_analyze(image_path: str, carrier_sign: int, outdir: Path) -> int:
         adopt=True,  # read_pgm16's fresh array, held nowhere else
     )
     reading = extract_charge(gram, sign_hint=carrier_sign)
-    print(f"ell={reading.ell:+d} confidence={reading.confidence:.4f} method={reading.method}")
+    print(f"ell={reading.ell:+d} confidence={reading.confidence:.4f} method=circulation")
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         outdir / "analysis.csv",
         ["image", "ell", "confidence", "method"],
-        [[path.name, str(reading.ell), f"{reading.confidence:.4f}", reading.method]],
+        [[path.name, str(reading.ell), f"{reading.confidence:.4f}", "circulation"]],
     )
     return 0
 

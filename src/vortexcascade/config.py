@@ -206,11 +206,16 @@ _SCHEMA = {f.name: f.metadata for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str, line: int | None) -> Any:
-    entry = _SCHEMA[key]
     try:
-        value = entry["parse"](raw)
+        value = _SCHEMA[key]["parse"](raw)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad value for {key}: {exc}", key=key, line=line) from exc
+    return _checked(key, value, line)
+
+
+def _checked(key: str, value: Any, line: int | None) -> Any:
+    """value, if it meets the key's invariant; ConfigError naming the key if not."""
+    entry = _SCHEMA[key]
     if entry["check"] is not None and not entry["check"](value):
         raise ConfigError(f"{key} {entry['requirement']}, got {value}", key=key, line=line)
     return value
@@ -238,7 +243,8 @@ def load_config(
     overrides: list[str] | None = None,
     seed: int | None = None,
 ) -> RunConfig:
-    """Build a RunConfig from defaults, an optional file, and --set overrides."""
+    """Build a RunConfig from defaults, an optional file, --set overrides and
+    the --seed value, each checked as the key's own value is."""
     values: dict[str, Any] = {}
     if path is not None:
         p = Path(path)
@@ -254,5 +260,5 @@ def load_config(
             raise ConfigError(f"unknown key {key!r}", key=key)
         values[key] = _parse_value(key, raw, None)
     if seed is not None:
-        values["seed"] = seed
+        values["seed"] = _checked("seed", seed, None)
     return RunConfig(**values)

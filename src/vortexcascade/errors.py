@@ -29,10 +29,6 @@ class NonPeriodicError(VortexCascadeError):
     """No periodic structure found in a time series."""
 
 
-class RegionError(VortexCascadeError):
-    """An analysis region is too small or out of bounds."""
-
-
 class ConfigError(VortexCascadeError):
     """Invalid run configuration; carries the offending key when known."""
 

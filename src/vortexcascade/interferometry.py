@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .beams import BeamParams, LGModeIndex, azimuthal_profile, lg_mode_field
 from .beams import loop_sample_count, sample_at_angles
 from .cascade import RamanConfig, SidebandLabel, mirrored_sideband, observed_sideband
-from .errors import AliasingError, GridMismatchError, RegionError, VortexCascadeError
+from .errors import AliasingError, GridMismatchError, VortexCascadeError
 from .grids import ComplexFieldGrid, GridSpec
 from .units import wavelength_from_omega
 
@@ -90,12 +90,6 @@ def _crop_axis(n: int, m: int, center: float):
     return bins, shift, ramp
 
 
-def _coarse_samples_in(lo: int, hi: int, n: int, m: int) -> np.ndarray:
-    """Mask of the m coarse samples whose fine position lies in [lo, hi - 1]."""
-    scaled = (n // 2) * m + (np.arange(m) - m // 2) * n  # fine position times m
-    return (scaled >= lo * m) & (scaled <= (hi - 1) * m)
-
-
 @dataclass(frozen=True)
 class Interferogram:
     """Non-negative intensity grid plus carrier-tilt metadata.
@@ -144,17 +138,14 @@ class Interferogram:
 
 @dataclass(frozen=True)
 class ChargeReading:
-    """Signed charge, confidence in [0, 1], and the method that produced it."""
+    """Signed charge and its confidence in [0, 1]."""
 
     ell: int
     confidence: float
-    method: str = "circulation"
 
     def __post_init__(self):
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
-        if self.method not in ("circulation", "fork_count"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 def synthesize_interferogram(
@@ -567,12 +558,12 @@ def extract_charge(
         # a detected carrier under 3 bins from DC, which _demodulate
         # refuses, is no carrier
         if carrier is None or math.hypot(*_carrier_bins(gram, carrier)) < 3.0:
-            return ChargeReading(0, 0.0, "circulation")
+            return ChargeReading(0, 0.0)
 
     D, i_lp, spec = _demodulate(gram, carrier)
     env = np.abs(D)
     if float(env.max()) < 1.0e-9 * max(float(i_lp.max()), 1e-300):
-        return ChargeReading(0, 0.0, "circulation")
+        return ChargeReading(0, 0.0)
 
     pitch = max(spec.dx, spec.dy)
     r_hi = 0.45 * min(spec.extent_x, spec.extent_y) - 2.0 * pitch
@@ -598,94 +589,7 @@ def extract_charge(
     else:
         vis = 0.0
     confidence = float(np.clip(integer_conf * np.clip(vis, 0.0, 1.0) ** 0.25, 0.0, 1.0))
-    return ChargeReading(ell, confidence, "circulation")
-
-
-def fork_fringe_count(
-    gram: Interferogram, carrier: tuple[float, float] | None = None
-) -> ChargeReading:
-    """Literal fringe-count readout: winding difference along two cuts.
-
-    Counts interference fringes crossing two lines parallel to the carrier,
-    just above and just below the singularity; the difference equals the
-    charge. A cross-validation for the circulation method on clean patterns.
-    """
-    if carrier is None:
-        carrier = gram.carrier
-    D, _, spec = _demodulate(gram, carrier)
-    env = np.abs(D)
-    core = _core_candidates(D, env, spec)[0]
-    r_sig = _signal_ring_radius(env, spec, core)
-
-    iy_core = int(round(core[1] / spec.dy)) + spec.ny // 2
-    ix_core = int(round(core[0] / spec.dx)) + spec.nx // 2
-    d_rows = max(3, int(round(0.5 * r_sig / spec.dy)))
-    row_a = min(iy_core + d_rows, spec.ny - 1)
-    row_b = max(iy_core - d_rows, 0)
-
-    half_w = int(round(2.5 * r_sig / spec.dx))
-    x_lo = max(ix_core - half_w, 0)
-    x_hi = min(ix_core + half_w + 1, spec.nx)
-    if x_hi - x_lo < 8:
-        raise RegionError("fringe-count cuts would be shorter than 8 samples")
-
-    # the carrier adds the same phase along both equal cuts, so the fringe
-    # count difference is the winding difference of the demodulated field
-    def _winding_along(row: int) -> float:
-        ph = np.unwrap(np.angle(D[row, x_lo:x_hi]))
-        return (ph[-1] - ph[0]) / TWO_PI
-
-    ell_f = _winding_along(row_a) - _winding_along(row_b)
-    ell = int(round(ell_f))
-    conf = max(0.0, 1.0 - abs(ell_f - ell) / 0.5)
-    return ChargeReading(ell, conf, "fork_count")
-
-
-def fringe_visibility(
-    gram: Interferogram,
-    region: tuple[tuple[int, int], tuple[int, int]] | None = None,
-    carrier: tuple[float, float] | None = None,
-) -> float:
-    """(Imax-Imin)/(Imax+Imin) of the fringes from the demodulated envelope.
-
-    region is ((y0, y1), (x0, x1)) in samples, slice semantics; default is
-    the central half of the frame. The region must span at least three
-    fringe periods along the carrier.
-    """
-    spec = gram.spec
-    if region is None:
-        region = (
-            (spec.ny // 4, spec.ny - spec.ny // 4),
-            (spec.nx // 4, spec.nx - spec.nx // 4),
-        )
-    (y0, y1), (x0, x1) = region
-    if not (0 <= y0 < y1 <= spec.ny and 0 <= x0 < x1 <= spec.nx):
-        raise RegionError(f"region {region} out of bounds for {spec.ny}x{spec.nx}")
-    if carrier is None:
-        carrier = gram.carrier
-    fx_c = abs(carrier[0]) / gram.wavelength
-    fy_c = abs(carrier[1]) / gram.wavelength
-    crossings = (x1 - x0) * spec.dx * fx_c + (y1 - y0) * spec.dy * fy_c
-    if crossings < 3.0:
-        raise RegionError(
-            f"region spans {crossings:.2f} fringe periods; need at least 3"
-        )
-    D, i_lp, coarse = _demodulate(gram, carrier)
-    inside = np.ix_(
-        _coarse_samples_in(y0, y1, spec.ny, coarse.ny),
-        _coarse_samples_in(x0, x1, spec.nx, coarse.nx),
-    )
-    env = np.abs(D[inside])
-    if env.size == 0:
-        raise RegionError(
-            f"region {region} holds no sample of the {coarse.ny}x{coarse.nx} demodulated grid"
-        )
-    base = i_lp[inside]
-    good = base > 1e-12 * float(np.max(i_lp))
-    if not np.any(good):
-        return 0.0
-    vis = 2.0 * env[good] / base[good]
-    return float(np.clip(np.mean(vis), 0.0, 1.0))
+    return ChargeReading(ell, confidence)
 
 
 @dataclass(frozen=True)

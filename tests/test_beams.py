@@ -17,7 +17,7 @@ from vortexcascade import (
     lg_mode_field,
     ring_radius,
 )
-from vortexcascade.beams import _laguerre, mode_powers_by_ell, sample_on_circle
+from vortexcascade.beams import _laguerre, mode_powers_by_ell, sample_at_angles
 from vortexcascade.errors import BasisTruncationWarning, ResolutionError
 from winding import assert_winding
 
@@ -284,7 +284,7 @@ class TestFarField:
 
 class TestSampleOnCircle:
     def test_matches_scipy_map_coordinates(self):
-        # oracle: the two-pass scipy call sample_on_circle used to make
+        # oracle: the two-pass scipy call the circle sampler used to make
         ndimage = pytest.importorskip("scipy.ndimage")
         rng = np.random.default_rng(5)
         n = 331
@@ -295,8 +295,8 @@ class TestSampleOnCircle:
             # inside the grid, across its edges, and wholly outside it
             for radius, center in ((2.0, (0.0, 0.0)), (3.3, (1.2, -0.7)), (7.5, (0.0, 0.0)),
                                    (4.0, (-5.0, 6.0)), (30.0, (0.0, 0.0)), (2.0, (40.0, -40.0))):
-                got = sample_on_circle(values, spec, radius, n, center, angle0=0.3)
                 ang = 0.3 + 2.0 * math.pi * np.arange(n) / n
+                got = sample_at_angles(values, spec, radius, ang, center)
                 col = (center[0] + radius * np.cos(ang)) / spec.dx + spec.nx // 2
                 row = (center[1] + radius * np.sin(ang)) / spec.dy + spec.ny // 2
                 coords = np.vstack([row, col])

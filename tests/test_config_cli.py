@@ -302,6 +302,17 @@ class TestFigure3Command:
             assert capsys.readouterr().err.startswith("error: waist_mm "), sets
             assert not out.exists(), sets
 
+    @pytest.mark.parametrize("command,sets", [("figure3", ["--set", "noise=0.03"]), ("comb", [])])
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys, command, sets):
+        # --seed is checked as --set seed= is; figure3 used to build every far
+        # field and then fail each order with exit 1, and comb exited 0
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--seed", "-1"] + sets) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+        assert main([command, "--out", str(out), "--set", "seed=-1"] + sets) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
     def test_huge_grid_exits_two_before_any_allocation(self, tmp_path, capsys):
         # grid_n=100000 asked numpy for 74.5 GiB and ended in a traceback
         out = tmp_path / "out"
@@ -658,6 +669,13 @@ class TestNoisyForksThroughFiles:
 
 
 class TestImport:
+    def test_public_names_resolve(self):
+        for name in vortexcascade.__all__:
+            assert hasattr(vortexcascade, name), name
+        namespace = {}
+        exec("from vortexcascade import *", namespace)
+        assert set(vortexcascade.__all__) <= namespace.keys()
+
     def test_cli_import_loads_no_scipy(self):
         # every CLI process pays for its imports; the package runs on numpy alone
         src = str(Path(vortexcascade.__file__).resolve().parents[1])

@@ -17,8 +17,6 @@ from vortexcascade import (
     add_intensity_noise,
     analyze_order_panel,
     extract_charge,
-    fork_fringe_count,
-    fringe_visibility,
     gaussian_field,
     lg_mode_field,
     LGModeIndex,
@@ -28,12 +26,12 @@ from vortexcascade import (
 from vortexcascade import interferometry
 from vortexcascade.config import load_config
 from vortexcascade.pgmio import read_pgm16, write_pgm16
-from vortexcascade.errors import AliasingError, GridMismatchError, RegionError
+from vortexcascade.errors import AliasingError, GridMismatchError
 from vortexcascade.beams import (
     azimuthal_profile,
     loop_sample_count,
     radial_intensity_profile,
-    sample_on_circle,
+    sample_at_angles,
 )
 from vortexcascade.interferometry import (
     _below_tenfold_median,
@@ -66,11 +64,19 @@ def plane_field(spec, amplitude=1.0):
     return ComplexFieldGrid(spec, WL, np.full((spec.ny, spec.nx), amplitude, dtype=complex))
 
 
+def demodulated_visibility(gram):
+    """Median of 2|D|/I_lowpass over the demodulated grid: the fringe
+    visibility that extract_charge's confidence reads on its ring band."""
+    D, i_lp, _ = _demodulate(gram, gram.carrier)
+    good = i_lp > 1e-12 * float(np.max(i_lp))
+    return float(np.median(2.0 * np.abs(D[good]) / i_lp[good]))
+
+
 class TestSynthesize:
     def test_plane_waves_make_straight_fringes(self):
         spec = GridSpec.square(N, PITCH)
         gram = synthesize_interferogram(plane_field(spec), plane_field(spec), TILT)
-        assert fringe_visibility(gram) == pytest.approx(1.0, abs=1e-9)
+        assert demodulated_visibility(gram) == pytest.approx(1.0, abs=1e-9)
         # period lambda/tilt: the spectral peak sits at fringe count 32
         spectrum = np.abs(np.fft.fft2(gram.intensity - gram.intensity.mean()))
         j = int(np.argmax(spectrum[0, : N // 2]))
@@ -79,7 +85,6 @@ class TestSynthesize:
     def test_single_fork_for_unit_charge(self):
         gram = vortex_gram(1)
         assert extract_charge(gram).ell == 1
-        assert fork_fringe_count(gram).ell == 1
 
     def test_charge_two_reference_difference(self):
         # fork carries the charge difference of the two arms
@@ -451,9 +456,10 @@ def whole_half_plane_detect_carrier(gram, sign_hint=1):
 
 def single_circle_winding(values, spec, center_xy, radius):
     """One circle's winding as it was before circles were batched: its own
-    sample_on_circle call and np.mod wrapping."""
+    circle's sample_at_angles call and np.mod wrapping."""
     n = loop_sample_count(spec, radius)
-    ph = np.angle(sample_on_circle(values, spec, radius, n, center_xy))
+    ang = 2.0 * math.pi * np.arange(n) / n
+    ph = np.angle(sample_at_angles(values, spec, radius, ang, center_xy))
     d = np.mod(np.diff(ph, append=ph[:1]) + math.pi, 2.0 * math.pi) - math.pi
     return float(np.sum(d) / (2.0 * math.pi))
 
@@ -817,20 +823,12 @@ class TestGaussianFilter:
         assert np.max(np.abs(_gaussian_filter(a, sigma) - expect)) <= 1e-14
 
 
-class TestForkFringeCount:
-    def test_matches_circulation_for_small_charges(self):
-        for ell in (-2, -1, 1, 2):
-            gram = vortex_gram(ell)
-            count = fork_fringe_count(gram)
-            assert count.ell == ell
-            assert count.method == "fork_count"
-
-
 class TestFringeVisibility:
+    # the visibility of plane-wave fringes, read from the demodulated field
     def test_equal_amplitudes_unity(self):
         spec = GridSpec.square(N, PITCH)
         gram = synthesize_interferogram(plane_field(spec), plane_field(spec), TILT)
-        assert fringe_visibility(gram) == pytest.approx(1.0, abs=1e-9)
+        assert demodulated_visibility(gram) == pytest.approx(1.0, abs=1e-9)
 
     def test_one_to_three_intensity_ratio(self):
         # oracle: 2*sqrt(I1*I2)/(I1+I2) = 2*sqrt(3)/4 = 0.86603
@@ -838,27 +836,12 @@ class TestFringeVisibility:
         gram = synthesize_interferogram(
             plane_field(spec), plane_field(spec, amplitude=math.sqrt(3.0)), TILT
         )
-        assert fringe_visibility(gram) == pytest.approx(2.0 * math.sqrt(3.0) / 4.0, abs=1e-9)
+        assert demodulated_visibility(gram) == pytest.approx(2.0 * math.sqrt(3.0) / 4.0, abs=1e-9)
 
     def test_zero_reference_zero_visibility(self):
         spec = GridSpec.square(N, PITCH)
         gram = synthesize_interferogram(plane_field(spec), plane_field(spec, 0.0), TILT)
-        assert fringe_visibility(gram) == pytest.approx(0.0, abs=1e-12)
-
-    def test_small_region_rejected(self):
-        spec = GridSpec.square(N, PITCH)
-        gram = synthesize_interferogram(plane_field(spec), plane_field(spec), TILT)
-        with pytest.raises(RegionError):
-            fringe_visibility(gram, region=((0, 4), (0, 4)))
-
-    def test_region_between_coarse_samples_rejected(self):
-        # the 32-fringe carrier is demodulated on a 64x64 grid, one sample
-        # every 4 rows: a one-row region at row 101 holds none of them
-        spec = GridSpec.square(N, PITCH)
-        gram = synthesize_interferogram(plane_field(spec), plane_field(spec), TILT)
-        assert fringe_visibility(gram, region=((100, 101), (0, N))) == pytest.approx(1.0)
-        with pytest.raises(RegionError):
-            fringe_visibility(gram, region=((101, 102), (0, N)))
+        assert demodulated_visibility(gram) == pytest.approx(0.0, abs=1e-12)
 
 
 def panel_config(ell_p, ell_s, max_as=2, max_s=2):
@@ -1015,7 +998,6 @@ class TestMirroredOrdersShareFields:
         for shared in analyze_order_panel(cfg, geometry, ORDERS):
             (alone,) = analyze_order_panel(cfg, geometry, [shared.label])
             assert shared.reading.ell == alone.reading.ell, shared.label
-            assert shared.reading.method == alone.reading.method, shared.label
             assert shared.reading.confidence == pytest.approx(
                 alone.reading.confidence, rel=1e-12, abs=0.0
             ), shared.label
