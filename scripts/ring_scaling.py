@@ -47,7 +47,7 @@ def main():
     print("\nobserved sideband ring radius for ell_p = -ell_s = 1:")
     for k in (1, 2, 3):
         label = SidebandLabel.from_ladder_index(k)
-        r = ring_radius(observed_sideband(pump, stokes, label, oversample=4))
+        r = ring_radius(observed_sideband(pump, stokes, label))
         print(f"  {str(label):>3}: {r * 1e3:.4f} mm")
 
 

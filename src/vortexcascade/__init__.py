@@ -16,7 +16,6 @@ from .cascade import (
     CombChannel,
     RamanConfig,
     SidebandLabel,
-    SpectralComb,
     build_comb,
     cascade_phase_recursion,
     conservation_check,
@@ -65,7 +64,6 @@ __all__ = [
     "PanelGeometry",
     "RamanConfig",
     "SidebandLabel",
-    "SpectralComb",
     "SppSpec",
     "TimeGrid",
     "add_intensity_noise",

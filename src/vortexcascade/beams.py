@@ -203,22 +203,17 @@ def _folded_dft(src: np.ndarray, dst: np.ndarray, cos_t: np.ndarray, sin_t: np.n
     np.subtract(a[1, 1:], b[0], out=down[1])
 
 
-def far_field(
-    field: ComplexFieldGrid,
-    focal_length: float | None = None,
-    oversample: int = 1,
-) -> ComplexFieldGrid:
+def far_field(field: ComplexFieldGrid, oversample: int = 1) -> ComplexFieldGrid:
     """Field in the rear focal plane of an ideal lens (Fraunhofer mapping).
 
-    Output pitch is lambda*f/(N_pad*pitch) per axis, with N_pad = oversample*N.
-    The default focal length oversample*nx*dx^2/lambda makes the output pitch
-    equal the input pitch. It enters only as the product lambda*f =
-    oversample*nx*dx^2, so the default far field is the same array on the
-    same grid at every wavelength, to the last bit. oversample > 1 embeds the
-    source in a larger empty aperture, sampling the focal plane oversample
-    times finer, and returns the central N samples; power is conserved
-    exactly only for oversample=1 (the crop discards whatever falls outside
-    the frame).
+    Output pitch is lambda*f/(N_pad*pitch) per axis, with N_pad = oversample*N
+    and lambda*f = oversample*nx*dx^2, which makes the x pitch equal the
+    input's (and the y pitch too on a square grid). The wavelength only tags
+    the output, so the far field is the same array on the same grid at every
+    wavelength, to the last bit. oversample > 1 embeds the source in a
+    larger empty aperture, sampling the focal plane oversample times finer,
+    and returns the central N samples; power is conserved exactly only for
+    oversample=1 (the crop discards whatever falls outside the frame).
 
     Only that central window is computed, by a separable matrix Fourier
     transform (Soummer et al., Opt. Express 15, 15935, 2007), along y and
@@ -235,17 +230,11 @@ def far_field(
     centred DFT.
     """
     spec = field.spec
-    lam = field.wavelength
     if oversample < 1 or int(oversample) != oversample:
         raise ValueError(f"oversample must be a positive integer, got {oversample}")
     oversample = int(oversample)
     npx, npy = oversample * spec.nx, oversample * spec.ny
-    if focal_length is None:
-        lam_f = npx * spec.dx**2
-    elif focal_length > 0:
-        lam_f = lam * focal_length
-    else:
-        raise ValueError(f"focal length must be positive, got {focal_length}")
+    lam_f = npx * spec.dx**2
     cos_y, sin_y = _dft_tables(spec.ny, npy)
     cos_x, sin_x = (cos_y, sin_y) if npx == npy else _dft_tables(spec.nx, npx)
     transformed = np.empty((spec.ny, spec.nx), np.complex128)
@@ -262,7 +251,8 @@ def far_field(
         dx=lam_f / (npx * spec.dx),
         dy=lam_f / (npy * spec.dy),
     )
-    return ComplexFieldGrid(out_spec, lam, transformed, _adopt=True)  # held nowhere else
+    # transformed is held nowhere else
+    return ComplexFieldGrid(out_spec, field.wavelength, transformed, _adopt=True)
 
 
 def azimuthal_profile(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,10 @@ from .errors import (
 )
 from .grids import ComplexFieldGrid
 from .units import omega_from_wavelength, wavelength_from_omega
+
+# focal-plane sampling of every order: the synthetic aperture is this many
+# times the source frame (see observed_sideband)
+OVERSAMPLE = 4
 
 
 @dataclass(frozen=True)
@@ -225,25 +229,26 @@ def observed_sideband(
     pump_field: ComplexFieldGrid,
     stokes_field: ComplexFieldGrid,
     label: SidebandLabel,
-    oversample: int = 1,
 ) -> ComplexFieldGrid:
     """Sideband as seen in the observation (focal) plane downstream.
 
     The camera sits in the far field of the interaction region, which is
     where the ring-size growth across orders shows up; the interaction-plane
-    product itself has an order-independent peak radius. far_field's default
-    focal length makes the observation grid pitch equal the source pitch for
-    every order, so cross-order images share one grid.
+    product itself has an order-independent peak radius. The focal plane has
+    lambda*f = OVERSAMPLE*nx*dx^2, so each focal pattern spans OVERSAMPLE
+    times the samples an unpadded transform gives it, at the source pitch
+    for every order (far_field never reads the wavelength): cross-order
+    images share one grid.
 
     Mirrored orders share one field when the two seeds are the same array
     (an LG mode at its waist does not depend on wavelength, so an ell = 0
     reference set, or a vortex set with ell_p = ell_s): the source of order
-    k, p^a*conj(s)^b, is then that of order 1 - k, and the default far field
-    does not depend on the wavelength either. mirrored_sideband turns one
-    order's field into its partner's.
+    k, p^a*conj(s)^b, is then that of order 1 - k, and its far field is the
+    same at every wavelength. mirrored_sideband turns one order's field into
+    its partner's.
     """
     product = spatial_sideband(pump_field, stokes_field, label)
-    return far_field(product, oversample=oversample)
+    return far_field(product, oversample=OVERSAMPLE)
 
 
 def mirrored_sideband(
@@ -274,39 +279,13 @@ class CombChannel:
         return wavelength_from_omega(self.omega)
 
 
-@dataclass(frozen=True)
-class SpectralComb:
-    """Ordered sideband channels; frequencies and charges must be affine in k."""
-
-    channels: tuple[CombChannel, ...] = dc_field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "channels", tuple(self.channels))
-        ks = [c.label.k for c in self.channels]
-        if ks != sorted(ks) or len(set(ks)) != len(ks):
-            raise ValueError("channels must be sorted by ladder index, without repeats")
-        if len(self.channels) >= 2:
-            omegas = np.array([c.omega for c in self.channels])
-            if not np.all(np.diff(omegas) > 0):
-                raise ValueError("frequencies must increase with ladder index")
-        if len(self.channels) >= 3 and ks == list(range(ks[0], ks[0] + len(ks))):
-            ells = [c.ell for c in self.channels]
-            if any(ells[i + 1] - 2 * ells[i] + ells[i - 1] != 0 for i in range(1, len(ells) - 1)):
-                raise ValueError("charges do not follow the affine ladder rule")
-
-    def __iter__(self):
-        return iter(self.channels)
-
-    def __len__(self):
-        return len(self.channels)
-
-
-def build_comb(cfg: RamanConfig, ks=None) -> SpectralComb:
+def build_comb(cfg: RamanConfig, ks=None) -> tuple[CombChannel, ...]:
     """Comb channels at ladder indices ks from the closed-form ladder.
 
     ks is an increasing run of ladder indices; default S_max_s .. AS_max_as,
     i.e. range(-max_s, max_as + 2). A channel is a frequency and a charge;
-    the waveform gives every channel unit amplitude and zero phase.
+    the waveform gives every channel unit amplitude and zero phase. Raises
+    NegativeFrequencyError for an index past the ladder's low end.
     """
     if ks is None:
         ks = range(-cfg.max_s, cfg.max_as + 2)
@@ -320,4 +299,4 @@ def build_comb(cfg: RamanConfig, ks=None) -> SpectralComb:
                 ell=sideband_charge(cfg, label),
             )
         )
-    return SpectralComb(tuple(channels))
+    return tuple(channels)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .cascade import SidebandLabel, build_comb
 from .config import RunConfig, load_config
-from .errors import ConfigError, NonPeriodicError, VortexCascadeError
+from .errors import AliasingError, ConfigError, NegativeFrequencyError, NonPeriodicError
+from .errors import VortexCascadeError
 from .grids import GridSpec
 from .interferometry import (
     Interferogram,
@@ -354,7 +355,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pulse":
             return cmd_pulse(cfg, outdir)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    # only config values make comb and pulse raise these (a ladder past its low
+    # end, a dt that aliases); figure3 records them per order
+    except (ConfigError, NegativeFrequencyError, AliasingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VortexCascadeError as exc:

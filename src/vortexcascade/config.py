@@ -107,6 +107,15 @@ class RunConfig:
                 f"angle: it must stay below grid_n/2 = {self.grid_n / 2:g}",
                 key="fringes",
             )
+        # synthesize_interferogram's whole-sample roll of the reference: rolls by
+        # s and s - grid_n are one array, so from grid_n/2 on it reads another geometry
+        shift = round(self.offset_y / (self.grid_pitch_um * 1e-6))
+        if abs(shift) >= self.grid_n / 2:
+            raise ConfigError(
+                f"offset_y_mm {self.offset_y_mm:g} rolls the reference by {shift} samples: "
+                f"the roll must stay under grid_n/2 = {self.grid_n / 2:g}",
+                key="offset_y_mm",
+            )
         if self.waist < 4.0 * (self.grid_pitch_um * 1e-6):  # lg_mode_field's test
             raise ConfigError(
                 f"waist_mm {self.waist_mm:g} is under-resolved: a waist needs at least "

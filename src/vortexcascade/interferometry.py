@@ -34,9 +34,6 @@ from .grids import ComplexFieldGrid, GridSpec
 from .units import wavelength_from_omega
 
 TWO_PI = 2.0 * math.pi
-# focal-plane sampling of every order: the synthetic aperture is this many
-# times the source frame (see PanelGeometry)
-OVERSAMPLE = 4
 # side, in bins, of the blocks whose summed power locates a carrier's sideband
 POOL = 4
 
@@ -157,9 +154,10 @@ def synthesize_interferogram(
 ) -> Interferogram:
     """|vortex + reference * exp(i*k*tilt*x)|^2, reference shifted by offset_y.
 
-    Fringe period is lambda/tilt for small angles. The vertical offset rolls
-    the reference by whole samples (tails wrap; keep offsets small against
-    the aperture).
+    Fringe period is lambda/tilt for small angles; Interferogram refuses a
+    tilt at the Nyquist angle (AliasingError). The vertical offset rolls the
+    reference by whole samples (tails wrap; keep offsets small against the
+    aperture).
     """
     if vortex.spec != reference.spec:
         raise GridMismatchError("vortex and reference grids differ")
@@ -169,10 +167,6 @@ def synthesize_interferogram(
         )
     spec = vortex.spec
     lam = vortex.wavelength
-    if abs(tilt) >= lam / (2.0 * spec.dx):
-        raise AliasingError(
-            f"tilt {tilt:g} rad at or beyond the Nyquist angle {lam / (2 * spec.dx):g} rad"
-        )
     ref = reference.values
     shift = int(round(offset_y / spec.dy))
     if shift != 0:
@@ -531,18 +525,15 @@ def _signal_ring_radius(
     return max((j + 0.5) * dr, 4.0 * dr)
 
 
-def extract_charge(
-    gram: Interferogram,
-    carrier: tuple[float, float] | None = None,
-    sign_hint: int = 1,
-) -> ChargeReading:
+def extract_charge(gram: Interferogram, sign_hint: int = 1) -> ChargeReading:
     """Signed topological charge of the vortex arm relative to the reference.
 
-    Uses the carrier metadata unless an explicit carrier (angle_x, angle_y)
-    is passed; when both are absent or zero it falls back to spectral
-    detection. Returns ell=0 with zero confidence when no carrier or no
-    fringe signal is present; an ambiguous circulation (further than 0.25
-    from an integer) is returned flagged with low confidence, not raised.
+    Demodulates at gram.carrier (angle_x, angle_y); replace(gram, carrier=...)
+    reads at another. A carrier under 3 fringes across the frame's shorter
+    side falls back to spectral detection (detect_carrier with sign_hint).
+    Returns ell=0 with zero confidence when no carrier or no fringe signal
+    is present; an ambiguous circulation (further than 0.25 from an
+    integer) is returned flagged with low confidence, not raised.
 
     Everything after the demodulation runs on its coarse grid (see
     _demodulate): core candidates, ring radius, windings and the visibility
@@ -551,8 +542,7 @@ def extract_charge(
     64 x 64 samples for a 32-fringe carrier at 256 or 512, whether given or
     detected.
     """
-    if carrier is None:
-        carrier = gram.carrier
+    carrier = gram.carrier
     if math.hypot(*carrier) / gram.wavelength * min(gram.spec.extent_x, gram.spec.extent_y) < 3.0:
         carrier = detect_carrier(gram, sign_hint)
         # a detected carrier under 3 bins from DC, which _demodulate
@@ -596,12 +586,12 @@ def extract_charge(
 class PanelGeometry:
     """Rendering geometry for the double-source sideband experiment.
 
-    Sidebands are observed in the focal plane of an effective lens through a
-    synthetic aperture OVERSAMPLE times the source frame, which resolves
-    the focal patterns with OVERSAMPLE times more samples while keeping one
-    observation grid for every order. The carrier is specified as a fringe
-    count across the frame (default nx/8) so each order's interferogram is
-    demodulated at the same spectral position.
+    Sidebands are observed in observed_sideband's focal plane, through a
+    synthetic aperture cascade.OVERSAMPLE times the source frame, which
+    resolves the focal patterns with that many times more samples while
+    keeping one observation grid for every order. The carrier is specified
+    as a fringe count across the frame (default nx/8) so each order's
+    interferogram is demodulated at the same spectral position.
     """
 
     spec: GridSpec
@@ -671,11 +661,11 @@ def analyze_order_panel(
     def observe(s: int, label: SidebandLabel, shared: dict, last: bool) -> ComplexFieldGrid:
         pump, stokes = sets[s]
         if not mirrored[s]:
-            return observed_sideband(pump, stokes, label, oversample=OVERSAMPLE)
+            return observed_sideband(pump, stokes, label)
         partner = shared.pop(s, None) if last else shared.get(s)
         if partner is not None:
             return mirrored_sideband(partner, pump, stokes, label)
-        field = observed_sideband(pump, stokes, label, oversample=OVERSAMPLE)
+        field = observed_sideband(pump, stokes, label)
         if not last:
             shared[s] = field
         return field

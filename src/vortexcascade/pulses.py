@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .cascade import SpectralComb
 from .errors import AliasingError, NonPeriodicError
 
 # std/mean below which a series is constant up to float64 rounding (about
@@ -123,13 +122,13 @@ def chirped_pair_field(pair: ChirpedPulsePair, grid: TimeGrid) -> np.ndarray:
     return _single_chirped(pair, t) + _single_chirped(pair, t - pair.t_d)
 
 
-def synthesize_waveform(comb: SpectralComb, grid: TimeGrid) -> np.ndarray:
-    """Intensity |sum_k exp(-i omega_k t)|^2 on the grid.
+def synthesize_waveform(comb: tuple, grid: TimeGrid) -> np.ndarray:
+    """Intensity |sum_k exp(-i omega_k t)|^2 of build_comb's channels on the grid.
 
     Every channel is a unit line with zero phase, and the lines must be
-    equally spaced (ValueError otherwise). The result is the pulse train
-    sin^2(N x)/sin^2(x) with x = spacing*t/2, of period 2*pi/spacing, and
-    N^2 where sin(x) is 0.
+    equally spaced (ValueError otherwise); AliasingError if the top line
+    aliases at grid.dt. The result is the pulse train sin^2(N x)/sin^2(x)
+    with x = spacing*t/2, of period 2*pi/spacing, and N^2 where sin(x) is 0.
     """
     if len(comb) == 0:
         raise ValueError("comb has no channels")

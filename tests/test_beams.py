@@ -222,8 +222,8 @@ class TestFarField:
     def test_gaussian_far_width_matches_focus_formula(self):
         # oracle: waist at the focal plane of a lens f is lambda*f/(pi*w0)
         beam, spec = beam_and_grid(n=512, pitch=20e-6, w0=1.2e-3)
-        f_len = 0.5
-        ff = far_field(gaussian_field(beam, spec), focal_length=f_len)
+        f_len = 512 * spec.dx**2 / WL  # far_field's lambda*f at oversample 1
+        ff = far_field(gaussian_field(beam, spec))
         expect = WL * f_len / (math.pi * beam.waist_w0)
         assert field_width(ff) == pytest.approx(expect, rel=1e-3)
 
@@ -267,16 +267,16 @@ class TestFarField:
         # oracle: the window the matrix Fourier transform computes is the
         # central crop of the padded FFT, to rounding
         rng = np.random.default_rng(11)
-        cases = [((ny, nx), os, None) for ny, nx in ((8, 8), (9, 11), (16, 13), (33, 40), (64, 64))
+        cases = [((ny, nx), os) for ny, nx in ((8, 8), (9, 11), (16, 13), (33, 40), (64, 64))
                  for os in (1, 2, 3, 4)]
-        cases += [((9, 11), 3, 0.25), ((512, 512), 4, None)]
-        for (ny, nx), os, f_len in cases:
+        cases += [((512, 512), 4)]
+        for (ny, nx), os in cases:
             spec = GridSpec(nx=nx, ny=ny, dx=20e-6, dy=30e-6)
             values = rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx))
-            ff = far_field(ComplexFieldGrid(spec, WL, values), focal_length=f_len, oversample=os)
-            f = f_len if f_len is not None else os * nx * spec.dx**2 / WL
+            ff = far_field(ComplexFieldGrid(spec, WL, values), oversample=os)
+            f = os * nx * spec.dx**2 / WL
             expect, pitch = self.padded_fft_far_field(values, spec, WL, f, os)
-            case = f"{ny}x{nx} oversample={os} f={f_len}"
+            case = f"{ny}x{nx} oversample={os}"
             assert (ff.spec.dx, ff.spec.dy) == pitch, case
             rel = np.max(np.abs(ff.values - expect)) / np.max(np.abs(expect))
             assert rel <= 1e-12, case

@@ -22,6 +22,7 @@ from vortexcascade import (
     sideband_frequency,
     spatial_sideband,
 )
+from vortexcascade.cascade import OVERSAMPLE
 from vortexcascade.errors import (
     DegenerateOverlapError,
     DetuningWarning,
@@ -316,7 +317,7 @@ class TestSpatialSideband:
     def test_observed_rings_grow_with_order_for_opposite_seeds(self):
         pump, stokes = self.pump(1), self.stokes(-1)
         radii = [
-            ring_radius(observed_sideband(pump, stokes, SidebandLabel.from_ladder_index(k), oversample=2))
+            ring_radius(observed_sideband(pump, stokes, SidebandLabel.from_ladder_index(k)))
             for k in (1, 2, 3)
         ]
         assert radii[0] < radii[1] < radii[2]
@@ -359,10 +360,10 @@ class TestObservedSidebandClosedForm:
             seed = lg_mode_field(LGModeIndex(0, ell), beam, spec)
             seeds.append(seed.with_values(np.roll(seed.values, shift, axis=(0, 1))))
         y0, x0 = shift[0] * spec.dy, shift[1] * spec.dx
-        lam_f = 4 * spec.nx * spec.dx**2  # the default focal length's lambda*f
+        lam_f = OVERSAMPLE * spec.nx * spec.dx**2  # far_field's lambda*f
         for k in range(-2, 4):  # S2..AS2
             label = SidebandLabel.from_ladder_index(k)
-            ff = observed_sideband(*seeds, label, oversample=4)
+            ff = observed_sideband(*seeds, label)
             ell = sideband_charge(cfg, label)
             assert abs(ell) == abs(2 * k - 1)
             kx = 2 * np.pi * ff.spec.x[None, :] / lam_f

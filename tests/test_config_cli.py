@@ -127,6 +127,15 @@ grid_n = 128
         assert err.value.key == "waist_mm"
         assert RunConfig(grid_pitch_um=50.0, waist_mm=0.2).waist_mm == 0.2
 
+    def test_offset_of_half_the_frame_refused(self):
+        # the reference rolls by whole samples modulo grid_n, so a roll of
+        # grid_n/2 = 256 samples or more read another geometry with exit 0
+        for offset in (6.4, -6.4, 100.0):
+            with pytest.raises(ConfigError) as err:
+                RunConfig(offset_y_mm=offset)
+            assert err.value.key == "offset_y_mm", offset
+        assert RunConfig(offset_y_mm=6.38).offset_y_mm == 6.38
+
     def test_readme_example_config_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
@@ -215,6 +224,24 @@ class TestCombCommand:
             assert main(args + ["--out", str(out)]) == 2, name
             assert not out.exists(), name
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["comb", "--set", "max_s=39"], "error: S39 would sit at "),
+            (["pulse", "--set", "match=true", "--set", "pulse_channels=1000"],
+             "error: S500 would sit at "),
+            (["pulse", "--set", "match=true", "--set", "dt_fs=10"],
+             "error: instantaneous frequency up to "),
+            (["figure3", "--set", "offset_y_mm=100"], "error: offset_y_mm 100 rolls "),
+        ],
+    )
+    def test_invalid_geometry_from_config_exits_two(self, tmp_path, capsys, args, message):
+        # a ladder past its low end and an aliasing record exited 1, and the
+        # wrapped offset exited 0
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
     def test_unusable_out_is_refused_before_any_command(self, tmp_path, capsys):
         # a file, or a path through one: figure3 used to fail only once its

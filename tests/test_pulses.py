@@ -28,7 +28,6 @@ from vortexcascade import (
 )
 from vortexcascade.cascade import (
     CombChannel,
-    SpectralComb,
     build_comb,
     sideband_charge,
     sideband_frequency,
@@ -128,7 +127,7 @@ def five_channel_comb():
         )
         for k in range(-2, 3)
     )
-    return SpectralComb(channels)
+    return channels
 
 
 class TestBeatFrequency:
@@ -203,7 +202,7 @@ class TestChirpedPairField:
 
 class TestSynthesizeWaveform:
     def test_single_channel_is_constant(self):
-        comb = SpectralComb((five_channel_comb().channels[2],))
+        comb = (five_channel_comb()[2],)
         grid = TimeGrid(4096, 0.4e-15)
         intensity = synthesize_waveform(comb, grid)
         assert np.ptp(intensity) < 1e-9 * intensity.mean()
@@ -220,13 +219,13 @@ class TestSynthesizeWaveform:
         comb = five_channel_comb()
         grid = TimeGrid(16384, 0.4e-15)
         intensity = synthesize_waveform(comb, grid)
-        single = synthesize_waveform(SpectralComb((comb.channels[0],)), grid)
+        single = synthesize_waveform((comb[0],), grid)
         assert intensity.max() == pytest.approx(25.0 * single.mean(), rel=1e-9)
 
     def test_energy_parseval(self):
         # an integer number of train periods makes the cross terms vanish
         comb = five_channel_comb()
-        spacing = comb.channels[1].omega - comb.channels[0].omega
+        spacing = comb[1].omega - comb[0].omega
         period = 2.0 * math.pi / spacing
         nt = 8192
         dt = 32 * period / nt  # exactly 32 periods in the record
@@ -265,14 +264,14 @@ class TestSynthesizeWaveform:
         assert_matches_channel_loop(comb, TimeGrid(2**18, 0.4e-15))
 
     def test_unequal_spacings_refused(self):
-        lines = five_channel_comb().channels
+        lines = five_channel_comb()
         with pytest.raises(ValueError, match="equally spaced"):
-            synthesize_waveform(SpectralComb((lines[0], lines[1], lines[3])), TimeGrid(64, 0.4e-15))
+            synthesize_waveform((lines[0], lines[1], lines[3]), TimeGrid(64, 0.4e-15))
         # one line moved by a millionth of the spacing, far past rounding
         spacing = lines[1].omega - lines[0].omega
         moved = replace(lines[2], omega=lines[2].omega + 1e-6 * spacing)
         with pytest.raises(ValueError, match="equally spaced"):
-            synthesize_waveform(SpectralComb(lines[:2] + (moved,) + lines[3:]), TimeGrid(64, 0.4e-15))
+            synthesize_waveform(lines[:2] + (moved,) + lines[3:], TimeGrid(64, 0.4e-15))
 
     @pytest.mark.parametrize(
         "channels,line",
