@@ -17,6 +17,10 @@ import numpy as np
 from .errors import ResolutionError
 from .grids import ComplexFieldGrid, GridSpec
 
+# focal-plane sampling of every observed order: the synthetic aperture is
+# this many times the source frame (see far_field)
+OVERSAMPLE = 4
+
 
 @dataclass(frozen=True)
 class LGModeIndex:
@@ -203,17 +207,16 @@ def _folded_dft(src: np.ndarray, dst: np.ndarray, cos_t: np.ndarray, sin_t: np.n
     np.subtract(a[1, 1:], b[0], out=down[1])
 
 
-def far_field(field: ComplexFieldGrid, oversample: int = 1) -> ComplexFieldGrid:
+def far_field(field: ComplexFieldGrid) -> ComplexFieldGrid:
     """Field in the rear focal plane of an ideal lens (Fraunhofer mapping).
 
-    Output pitch is lambda*f/(N_pad*pitch) per axis, with N_pad = oversample*N
-    and lambda*f = oversample*nx*dx^2, which makes the x pitch equal the
-    input's (and the y pitch too on a square grid). The wavelength only tags
-    the output, so the far field is the same array on the same grid at every
-    wavelength, to the last bit. oversample > 1 embeds the source in a
-    larger empty aperture, sampling the focal plane oversample times finer,
-    and returns the central N samples; power is conserved exactly only for
-    oversample=1 (the crop discards whatever falls outside the frame).
+    The source sits in an empty aperture of N_pad = OVERSAMPLE*N points per
+    axis and lambda*f = OVERSAMPLE*nx*dx^2, so the output pitch
+    lambda*f/(N_pad*pitch) is the input's in x (and in y on a square grid):
+    the central N samples of a focal plane sampled OVERSAMPLE times finer
+    than an unpadded transform's, with what falls outside the frame cropped.
+    The wavelength only tags the output, so the far field is the same array
+    on the same grid at every wavelength, to the last bit.
 
     Only that central window is computed, by a separable matrix Fourier
     transform (Soummer et al., Opt. Express 15, 15935, 2007), along y and
@@ -223,17 +226,13 @@ def far_field(field: ComplexFieldGrid, oversample: int = 1) -> ComplexFieldGrid:
     (n/2 + 1)^2 entries (_folded_dft). That is nx*ny*(nx + ny) real
     multiply-adds per call, in real matrix products on the real and
     imaginary planes: a quarter of those of the complex DFT matrix products
-    wy @ u @ wx.T, and independent of the oversample, where the padded FFT
-    costs O(oversample^2*nx*ny*log(...)) and throws away all but
-    1/oversample^2 of its output. The result equals the centred FFT of the
-    zero-padded source, cropped, to rounding; oversample=1 is the plain full
-    centred DFT.
+    wy @ u @ wx.T, and independent of OVERSAMPLE, where the padded FFT
+    costs O(OVERSAMPLE^2*nx*ny*log(...)) and throws away all but
+    1/OVERSAMPLE^2 of its output. The result equals the centred FFT of the
+    zero-padded source, cropped, to rounding.
     """
     spec = field.spec
-    if oversample < 1 or int(oversample) != oversample:
-        raise ValueError(f"oversample must be a positive integer, got {oversample}")
-    oversample = int(oversample)
-    npx, npy = oversample * spec.nx, oversample * spec.ny
+    npx, npy = OVERSAMPLE * spec.nx, OVERSAMPLE * spec.ny
     lam_f = npx * spec.dx**2
     cos_y, sin_y = _dft_tables(spec.ny, npy)
     cos_x, sin_x = (cos_y, sin_y) if npx == npy else _dft_tables(spec.nx, npx)

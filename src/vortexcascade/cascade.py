@@ -29,10 +29,6 @@ from .errors import (
 from .grids import ComplexFieldGrid
 from .units import omega_from_wavelength, wavelength_from_omega
 
-# focal-plane sampling of every order: the synthetic aperture is this many
-# times the source frame (see observed_sideband)
-OVERSAMPLE = 4
-
 
 @dataclass(frozen=True)
 class SidebandLabel:
@@ -234,11 +230,11 @@ def observed_sideband(
 
     The camera sits in the far field of the interaction region, which is
     where the ring-size growth across orders shows up; the interaction-plane
-    product itself has an order-independent peak radius. The focal plane has
-    lambda*f = OVERSAMPLE*nx*dx^2, so each focal pattern spans OVERSAMPLE
-    times the samples an unpadded transform gives it, at the source pitch
-    for every order (far_field never reads the wavelength): cross-order
-    images share one grid.
+    product itself has an order-independent peak radius. far_field's one
+    focal plane, lambda*f = beams.OVERSAMPLE*nx*dx^2, gives each focal
+    pattern OVERSAMPLE times the samples an unpadded transform gives it, at
+    the source pitch for every order (far_field never reads the
+    wavelength): cross-order images share one grid.
 
     Mirrored orders share one field when the two seeds are the same array
     (an LG mode at its waist does not depend on wavelength, so an ell = 0
@@ -248,7 +244,7 @@ def observed_sideband(
     its partner's.
     """
     product = spatial_sideband(pump_field, stokes_field, label)
-    return far_field(product, oversample=OVERSAMPLE)
+    return far_field(product)
 
 
 def mirrored_sideband(
@@ -260,12 +256,12 @@ def mirrored_sideband(
     """observed_sideband of label, given that of its mirror order 1 - label.k.
 
     Valid only when pump_field and stokes_field hold the same array and
-    partner came from observed_sideband with them: the field is partner's,
-    tagged with label's ladder wavelength (which raises, like
+    partner came from observed_sideband with them: partner's samples, not a
+    copy, tagged with label's ladder wavelength (which raises, like
     spatial_sideband, where the ladder ends before label).
     """
     omega = _ladder_frequency_from_fields(pump_field, stokes_field, label.k)
-    return ComplexFieldGrid(partner.spec, wavelength_from_omega(omega), partner.values)
+    return partner.with_wavelength(wavelength_from_omega(omega))
 
 
 @dataclass(frozen=True)

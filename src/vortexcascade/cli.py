@@ -201,7 +201,20 @@ def cmd_figure3(cfg: RunConfig, outdir: Path) -> int:
     return 0 if any_ok else 1
 
 
+def _print_period(name: str, series: np.ndarray, dt: float, raman_period: float) -> bool:
+    """Print a series' train period and its error vs the Raman period; True when found."""
+    try:
+        measured = train_period(series, dt)
+    except NonPeriodicError:
+        print(f"{name}: no periodic structure detected")
+        return False
+    err = abs(measured - raman_period) / raman_period
+    print(f"{name} period: {measured * 1e15:.3f} fs (relative error vs Raman: {err:.2%})")
+    return True
+
+
 def cmd_pulse(cfg: RunConfig, outdir: Path) -> int:
+    ks = cfg.pulse_ks()  # refused before the beat field is computed
     raman_period = 2.0 * np.pi / cfg.omega_raman
 
     pair = cfg.chirped_pair()
@@ -209,8 +222,7 @@ def cmd_pulse(cfg: RunConfig, outdir: Path) -> int:
     beat_intensity = np.abs(chirped_pair_field(pair, beat_grid)) ** 2
 
     raman = cfg.raman_config(default_max_as=20, default_max_s=20)
-    n = cfg.pulse_channels
-    comb = build_comb(raman, range(-(n // 2), n - n // 2))
+    comb = build_comb(raman, ks)
     wave_grid = cfg.time_grid()
     waveform = synthesize_waveform(comb, wave_grid)
 
@@ -222,28 +234,10 @@ def cmd_pulse(cfg: RunConfig, outdir: Path) -> int:
         fh.writelines(_float_csv_blocks(header, wave_grid.times, waveform))
 
     print(f"target Raman period: {raman_period * 1e15:.3f} fs")
-    try:
-        beat = beat_frequency(pair)
-        beat_period = 2.0 * np.pi / beat if beat > 0 else None
-        measured_beat = train_period(beat_intensity, beat_grid.dt)
-        err = abs(measured_beat - raman_period) / raman_period
-        print(
-            f"beat-note period: {measured_beat * 1e15:.3f} fs "
-            f"(relative error vs Raman: {err:.2%})"
-        )
-        if beat_period is not None:
-            print(f"b*t_d implies {beat_period * 1e15:.3f} fs")
-    except NonPeriodicError:
-        print("beat-note: no periodic structure detected")
-    try:
-        measured_train = train_period(waveform, cfg.dt)
-        err = abs(measured_train - raman_period) / raman_period
-        print(
-            f"comb train period: {measured_train * 1e15:.3f} fs "
-            f"(relative error vs Raman: {err:.2%})"
-        )
-    except NonPeriodicError:
-        print("comb train: no periodic structure detected")
+    beat = beat_frequency(pair)
+    if _print_period("beat-note", beat_intensity, beat_grid.dt, raman_period) and beat > 0:
+        print(f"b*t_d implies {2.0 * np.pi / beat * 1e15:.3f} fs")
+    _print_period("comb train", waveform, cfg.dt, raman_period)
     print(f"wrote {outdir / 'beat.csv'} and {outdir / 'waveform.csv'}")
     return 0
 

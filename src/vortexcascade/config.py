@@ -175,6 +175,22 @@ class RunConfig:
             max_s=self.max_s if self.max_s is not None else default_max_s,
         )
 
+    def pulse_ks(self) -> range:
+        """pulse's ladder indices, k = -(n//2) .. -(n//2) + n - 1 for n = pulse_channels;
+        refused, naming the key, where the lowest line's frequency by sideband_frequency's
+        expression is not positive (only pulse asks: comb and figure3 never read the key)."""
+        n = self.pulse_channels
+        lowest = -(n // 2)
+        spacing = self.omega_pump - self.omega_stokes
+        if self.omega_stokes + lowest * spacing <= 0:
+            fits = 2 * math.ceil(self.omega_stokes / spacing) - 1
+            raise ConfigError(
+                f"S{-lowest} would sit at or below zero frequency, past the ladder's low "
+                f"end: pulse_channels must be at most {fits}, got {n}",
+                key="pulse_channels",
+            )
+        return range(lowest, lowest + n)
+
     def time_grid(self) -> TimeGrid:
         return TimeGrid(self.nt, self.dt)
 
@@ -214,12 +230,20 @@ class RunConfig:
 _SCHEMA = {f.name: f.metadata for f in fields(RunConfig)}
 
 
-def _parse_value(key: str, raw: str, line: int | None) -> Any:
+def _parse_item(item: str, line: int | None, malformed: str) -> tuple[str, Any]:
+    """(key, value) of one `key=value` item, the value parsed and checked as
+    the key's own; ConfigError with the message `malformed` when there is no '='."""
+    if "=" not in item:
+        raise ConfigError(malformed, line=line)
+    key, _, raw = item.partition("=")
+    key = key.strip()
+    if key not in _SCHEMA:
+        raise ConfigError(f"unknown key {key!r}", key=key, line=line)
     try:
         value = _SCHEMA[key]["parse"](raw)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad value for {key}: {exc}", key=key, line=line) from exc
-    return _checked(key, value, line)
+    return key, _checked(key, value, line)
 
 
 def _checked(key: str, value: Any, line: int | None) -> Any:
@@ -237,13 +261,8 @@ def parse_config_text(text: str) -> dict[str, Any]:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {raw_line!r}", line=lineno)
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown key {key!r}", key=key, line=lineno)
-        values[key] = _parse_value(key, raw, lineno)
+        key, value = _parse_item(line, lineno, f"expected 'key = value', got {raw_line!r}")
+        values[key] = value
     return values
 
 
@@ -261,13 +280,8 @@ def load_config(
             raise ConfigError(f"config file not found: {p}")
         values.update(parse_config_text(p.read_text()))
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown key {key!r}", key=key)
-        values[key] = _parse_value(key, raw, None)
+        key, value = _parse_item(item, None, f"--set expects key=value, got {item!r}")
+        values[key] = value
     if seed is not None:
         values["seed"] = _checked("seed", seed, None)
     return RunConfig(**values)

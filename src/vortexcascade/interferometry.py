@@ -586,10 +586,8 @@ def extract_charge(gram: Interferogram, sign_hint: int = 1) -> ChargeReading:
 class PanelGeometry:
     """Rendering geometry for the double-source sideband experiment.
 
-    Sidebands are observed in observed_sideband's focal plane, through a
-    synthetic aperture cascade.OVERSAMPLE times the source frame, which
-    resolves the focal patterns with that many times more samples while
-    keeping one observation grid for every order. The carrier is specified
+    Sidebands are observed in far_field's one focal plane (beams.OVERSAMPLE),
+    on one observation grid for every order. The carrier is specified
     as a fringe count across the frame (default nx/8) so each order's
     interferogram is demodulated at the same spectral position.
     """
@@ -642,21 +640,18 @@ def analyze_order_panel(
     """
     lam_p = wavelength_from_omega(cfg.omega_p)
     lam_s = wavelength_from_omega(cfg.omega_s)
-    spec = geometry.spec
-    sampled: dict[int, ComplexFieldGrid] = {}
-
-    def seed(ell: int, lam: float) -> ComplexFieldGrid:
-        # at the waist an LG mode does not depend on wavelength (w(z) = w0),
-        # so each charge is sampled once and retagged with each colour
-        if ell not in sampled:
-            sampled[ell] = lg_mode_field(LGModeIndex(0, ell), BeamParams(geometry.waist, lam), spec)
-        return sampled[ell].with_wavelength(lam)
-
+    # at the waist an LG mode does not depend on wavelength (w(z) = w0), so
+    # each charge is sampled once and retagged with each colour: a set's two
+    # seeds are one array exactly when they share a charge
+    sampled = {
+        ell: lg_mode_field(LGModeIndex(0, ell), BeamParams(geometry.waist, lam_p), geometry.spec)
+        for ell in dict.fromkeys((cfg.ell_p, cfg.ell_s, 0))
+    }
     sets = (
-        (seed(cfg.ell_p, lam_p), seed(cfg.ell_s, lam_s)),
-        (seed(0, lam_p), seed(0, lam_s)),
+        (sampled[cfg.ell_p].with_wavelength(lam_p), sampled[cfg.ell_s].with_wavelength(lam_s)),
+        (sampled[0].with_wavelength(lam_p), sampled[0].with_wavelength(lam_s)),
     )
-    mirrored = [np.array_equal(pump.values, stokes.values) for pump, stokes in sets]
+    mirrored = [pump.values is stokes.values for pump, stokes in sets]
 
     def observe(s: int, label: SidebandLabel, shared: dict, last: bool) -> ComplexFieldGrid:
         pump, stokes = sets[s]

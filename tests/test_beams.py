@@ -17,7 +17,7 @@ from vortexcascade import (
     lg_mode_field,
     ring_radius,
 )
-from vortexcascade.beams import _laguerre, mode_powers_by_ell, sample_at_angles
+from vortexcascade.beams import OVERSAMPLE, _laguerre, mode_powers_by_ell, sample_at_angles
 from vortexcascade.errors import BasisTruncationWarning, ResolutionError
 from winding import assert_winding
 
@@ -222,19 +222,17 @@ class TestFarField:
     def test_gaussian_far_width_matches_focus_formula(self):
         # oracle: waist at the focal plane of a lens f is lambda*f/(pi*w0)
         beam, spec = beam_and_grid(n=512, pitch=20e-6, w0=1.2e-3)
-        f_len = 512 * spec.dx**2 / WL  # far_field's lambda*f at oversample 1
+        f_len = OVERSAMPLE * 512 * spec.dx**2 / WL  # far_field's lambda*f
         ff = far_field(gaussian_field(beam, spec))
         expect = WL * f_len / (math.pi * beam.waist_w0)
         assert field_width(ff) == pytest.approx(expect, rel=1e-3)
 
     def test_oversample_refines_sampling(self):
-        # oracle: far ring of LG_0^1 is sqrt(1/2)*lambda*f/(pi*w0); at 1x the
-        # ring is ~2 samples and barely resolved, at 4x it matches the oracle
+        # oracle: far ring of LG_0^1 is sqrt(1/2)*lambda*f/(pi*w0); an unpadded
+        # transform would give it ~2 samples, the oversampled plane resolves it
         beam, spec = beam_and_grid(n=128, pitch=25e-6, w0=0.4e-3)
-        f = lg_mode_field(LGModeIndex(0, 1), beam, spec)
-        fine = far_field(f, oversample=4)
-        assert fine.spec.dx == pytest.approx(far_field(f).spec.dx)
-        f_len = 4 * 128 * spec.dx**2 / WL
+        fine = far_field(lg_mode_field(LGModeIndex(0, 1), beam, spec))
+        f_len = OVERSAMPLE * 128 * spec.dx**2 / WL
         oracle = math.sqrt(0.5) * WL * f_len / (math.pi * beam.waist_w0)
         assert ring_radius(fine) == pytest.approx(oracle, rel=0.05)
 
@@ -245,7 +243,7 @@ class TestFarField:
         spec = GridSpec.square(64, 50 * 1e-6)
         values = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         lams = [1e-2 / (1e7 / 633 - 320 + 320 * k) for k in range(-2, 4)]
-        fields = [far_field(ComplexFieldGrid(spec, lam, values), oversample=4) for lam in lams]
+        fields = [far_field(ComplexFieldGrid(spec, lam, values)) for lam in lams]
         for lam, ff in zip(lams, fields):
             assert ff.wavelength == lam
             assert ff.spec == fields[0].spec, lam
@@ -267,16 +265,13 @@ class TestFarField:
         # oracle: the window the matrix Fourier transform computes is the
         # central crop of the padded FFT, to rounding
         rng = np.random.default_rng(11)
-        cases = [((ny, nx), os) for ny, nx in ((8, 8), (9, 11), (16, 13), (33, 40), (64, 64))
-                 for os in (1, 2, 3, 4)]
-        cases += [((512, 512), 4)]
-        for (ny, nx), os in cases:
+        for ny, nx in ((8, 8), (9, 11), (16, 13), (33, 40), (64, 64), (512, 512)):
             spec = GridSpec(nx=nx, ny=ny, dx=20e-6, dy=30e-6)
             values = rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx))
-            ff = far_field(ComplexFieldGrid(spec, WL, values), oversample=os)
-            f = os * nx * spec.dx**2 / WL
-            expect, pitch = self.padded_fft_far_field(values, spec, WL, f, os)
-            case = f"{ny}x{nx} oversample={os}"
+            ff = far_field(ComplexFieldGrid(spec, WL, values))
+            f = OVERSAMPLE * nx * spec.dx**2 / WL
+            expect, pitch = self.padded_fft_far_field(values, spec, WL, f, OVERSAMPLE)
+            case = f"{ny}x{nx}"
             assert (ff.spec.dx, ff.spec.dy) == pitch, case
             rel = np.max(np.abs(ff.values - expect)) / np.max(np.abs(expect))
             assert rel <= 1e-12, case

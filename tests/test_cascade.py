@@ -22,7 +22,8 @@ from vortexcascade import (
     sideband_frequency,
     spatial_sideband,
 )
-from vortexcascade.cascade import OVERSAMPLE
+from vortexcascade.beams import OVERSAMPLE
+from vortexcascade.cascade import mirrored_sideband
 from vortexcascade.errors import (
     DegenerateOverlapError,
     DetuningWarning,
@@ -374,6 +375,24 @@ class TestObservedSidebandClosedForm:
             c = np.vdot(model, ff.values) / np.vdot(model, model)
             residual = np.linalg.norm(ff.values - c * model) / np.linalg.norm(ff.values)
             assert residual <= 1e-12, (str(label), residual)
+
+
+class TestMirroredSideband:
+    def test_retags_the_partner_without_a_copy(self):
+        # with one array for both seeds, order k's observed field is its
+        # mirror 1 - k's: the same samples, at k's own ladder wavelength
+        cfg = make_config()
+        lam_p, lam_s = (wavelength_from_omega(w) for w in (cfg.omega_p, cfg.omega_s))
+        spec = GridSpec.square(64, 1e-4)
+        pump = lg_mode_field(LGModeIndex(0, 1), BeamParams(0.8e-3, lam_p), spec)
+        stokes = pump.with_wavelength(lam_s)
+        for k in range(-2, 4):
+            label = SidebandLabel.from_ladder_index(k)
+            partner = observed_sideband(pump, stokes, SidebandLabel.from_ladder_index(1 - k))
+            field = mirrored_sideband(partner, pump, stokes, label)
+            assert field.values is partner.values, k
+            assert field.spec == partner.spec, k
+            assert field.wavelength == observed_sideband(pump, stokes, label).wavelength, k
 
 
 class TestComb:

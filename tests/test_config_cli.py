@@ -229,7 +229,8 @@ class TestCombCommand:
         [
             (["comb", "--set", "max_s=39"], "error: S39 would sit at "),
             (["pulse", "--set", "match=true", "--set", "pulse_channels=1000"],
-             "error: S500 would sit at "),
+             "error: S500 would sit at or below zero frequency, past the ladder's low end: "
+             "pulse_channels must be at most 77, got 1000"),
             (["pulse", "--set", "match=true", "--set", "dt_fs=10"],
              "error: instantaneous frequency up to "),
             (["figure3", "--set", "offset_y_mm=100"], "error: offset_y_mm 100 rolls "),
@@ -406,6 +407,23 @@ class TestPulseCommand:
         assert main(["pulse", "--out", str(tmp_path), "--set", "t_d_fs=0"]) == 0
         out = capsys.readouterr().out
         assert "no periodic structure" in out
+
+    def test_channel_count_past_the_ladder_end_refused(self, tmp_path, capsys):
+        # at defaults S38 sits above zero frequency and S39 below it: 77
+        # channels (k = -38..38) fit, 78 (k = -39..38) do not; the refusal
+        # named neither the key nor the count that fits
+        assert RunConfig(pulse_channels=77).pulse_ks() == range(-38, 39)
+        with pytest.raises(ConfigError) as err:
+            RunConfig(pulse_channels=78).pulse_ks()
+        assert err.value.key == "pulse_channels"
+        out = tmp_path / "out"
+        assert main(["pulse", "--out", str(out), "--set", "match=true",
+                     "--set", "pulse_channels=78"]) == 2
+        assert capsys.readouterr().err == (
+            "error: S39 would sit at or below zero frequency, past the ladder's low end: "
+            "pulse_channels must be at most 77, got 78\n"
+        )
+        assert not out.exists()
 
     def test_needs_delay_or_match(self, tmp_path):
         assert main(["pulse", "--out", str(tmp_path)]) == 2

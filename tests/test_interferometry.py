@@ -1030,6 +1030,28 @@ class TestMirroredOrdersShareFields:
             sideband_charge(panel_config(ell_p, ell_s), r.label) for r in results
         ]
 
+    @pytest.mark.parametrize("m5_in,seeds,mirrored", [("false", 3, 3), ("true", 2, 6)])
+    def test_figure3_panel_samples_each_charge_once(self, monkeypatch, m5_in, seeds, mirrored):
+        # the benchmark's two panels: the mirror out seeds charges 1, -1 and 0,
+        # the mirror in 1 and 0; a set whose two seeds are one sampling shares
+        # each of its 3 pairs' fields (the reference set always, the vortex
+        # set only with the mirror in)
+        calls = {"lg_mode_field": 0, "mirrored_sideband": 0}
+        for name in calls:
+            original = getattr(interferometry, name)
+
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(interferometry, name, counting)
+        run = load_config(overrides=[f"m5_in={m5_in}", "grid_n=256", "grid_pitch_um=50"])
+        cfg = run.raman_config(default_max_as=2, default_max_s=2)
+        geometry = PanelGeometry(spec=run.grid_spec(), waist=run.waist)
+        results = analyze_order_panel(cfg, geometry, ORDERS)
+        assert [r.status for r in results] == ["ok"] * 6
+        assert calls == {"lg_mode_field": seeds, "mirrored_sideband": mirrored}
+
     @pytest.mark.parametrize("m5_in", ["false", "true"])
     def test_partner_past_the_ladder_end_keeps_its_error(self, m5_in):
         cfg = load_config(overrides=["raman_shift_cm1=5000", f"m5_in={m5_in}"]).raman_config(
