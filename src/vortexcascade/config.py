@@ -70,8 +70,6 @@ class RunConfig:
     raman_shift_cm1: float = _key(_parse_float, 320.0, lambda v: v > 0, "must be positive")
     spp_charge: int = _key(_parse_int, 1, lambda v: v != 0, "must be a nonzero integer")
     m5_in: bool = _key(_parse_bool, False)
-    ell_p: int | None = _key(_parse_int, None)
-    ell_s: int | None = _key(_parse_int, None)
     grid_n: int = _key(
         _parse_int, 512, lambda v: 8 <= v <= MAX_GRID_N, f"must be between 8 and {MAX_GRID_N}"
     )
@@ -95,8 +93,6 @@ class RunConfig:
     dt_fs: float = _key(_parse_float, 0.4, lambda v: v > 0, "must be positive")
 
     def __post_init__(self):
-        if (self.ell_p is None) != (self.ell_s is None):
-            raise ConfigError("ell_p and ell_s must be given together", key="ell_p")
         if self.omega_stokes <= 0:
             raise ConfigError(
                 "raman_shift_cm1 exceeds the pump wavenumber", key="raman_shift_cm1"
@@ -157,10 +153,7 @@ class RunConfig:
         return GridSpec.square(self.grid_n, self.grid_pitch_um * 1e-6)
 
     def charges(self) -> tuple[int, int]:
-        """(ell_p, ell_s) at the crystal: explicit values win over the
-        SPP-charge/parity flags."""
-        if self.ell_p is not None:
-            return self.ell_p, self.ell_s
+        """(ell_p, ell_s) at the crystal, set by the SPP charge and the M5 parity."""
         return crystal_charges(self.spp_charge, self.m5_in)
 
     def raman_config(self, default_max_as: int, default_max_s: int) -> RamanConfig:

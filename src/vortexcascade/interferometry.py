@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, replace
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -135,7 +135,8 @@ class Interferogram:
 
 @dataclass(frozen=True)
 class ChargeReading:
-    """Signed charge and its confidence in [0, 1]."""
+    """Signed charge and its confidence in [0, 1]: the fringe visibility^(1/4)
+    around the core where its winding circles agree, and 0 otherwise."""
 
     ell: int
     confidence: float
@@ -452,22 +453,23 @@ def _plaquette_winding(phase: np.ndarray) -> np.ndarray:
 
 def _core_candidates(
     D: np.ndarray, env: np.ndarray, spec: GridSpec
-) -> list[tuple[float, float]]:
-    """Candidate singularity positions of the demodulated field.
+) -> Iterator[tuple[float, float]]:
+    """Candidate singularity positions of the demodulated field, lazily.
 
-    Two independent locators, both evaluated by the caller's winding
-    consensus: (1) the strongest cluster of +-2*pi phase-circulation cells
-    embedded in real fringe signal, which resolves shallow cores whose
-    envelope dip is weak; (2) the deepest envelope hole inside the fringe
-    annulus (ties broken toward the axis), which handles wide dark cores
-    and the charge-0 case where no true singular cell exists.
+    Yields up to three cores, in order, each computed only when the caller
+    asks for the next: (1) the strongest cluster of +-2*pi
+    phase-circulation cells embedded in real fringe signal, which resolves
+    shallow cores whose envelope dip is weak (none when no cell
+    qualifies); (2) the centroid of the fringe signal (none when there is
+    no signal); (3) the deepest envelope hole inside the fringe annulus
+    (ties broken toward the axis), which handles wide dark cores and the
+    charge-0 case where no true singular cell exists.
     """
     sigma_big = max(3.0, min(spec.nx, spec.ny) / 64.0)
     local = _gaussian_filter(env, sigma_big)
     xx, yy = spec.x[None, :], spec.y[:, None]  # broadcast, as spec.meshes()
     rr = np.hypot(xx, yy)
     central = rr <= 0.35 * min(spec.extent_x, spec.extent_y)
-    candidates: list[tuple[float, float]] = []
 
     wind = _plaquette_winding(np.angle(D))
     cell_local = local[:-1, :-1]
@@ -490,18 +492,14 @@ def _core_candidates(
         if float(np.sum(w)) > 0:
             fx = float(np.sum(cxx[near] * w) / np.sum(w))
             fy = float(np.sum(cyy[near] * w) / np.sum(w))
-        candidates.append(
-            ((fx + 0.5 - spec.nx // 2) * spec.dx, (fy + 0.5 - spec.ny // 2) * spec.dy)
-        )
+        yield ((fx + 0.5 - spec.nx // 2) * spec.dx, (fy + 0.5 - spec.ny // 2) * spec.dy)
 
     # centroid of the fringe signal: immune to isolated noise nulls, and for
     # a centered pattern it coincides with the core anyway
     w2 = np.where(local >= 0.1 * float(local.max()), env**2, 0.0)
     total = float(np.sum(w2))
     if total > 0:
-        candidates.append(
-            (float(np.sum(xx * w2) / total), float(np.sum(yy * w2) / total))
-        )
+        yield (float(np.sum(xx * w2) / total), float(np.sum(yy * w2) / total))
 
     sm = _gaussian_filter(env, 1.0)
     search = central & (local >= 0.1 * float(local.max()))
@@ -511,8 +509,7 @@ def _core_candidates(
     flat_min = np.min(masked)
     ties = np.argwhere(masked <= flat_min * (1.0 + 1e-12) + 1e-300)
     best = min(ties.tolist(), key=lambda ij: (rr[ij[0], ij[1]], ij[0], ij[1]))
-    candidates.append((float(spec.x[best[1]]), float(spec.y[best[0]])))
-    return candidates
+    yield (float(spec.x[best[1]]), float(spec.y[best[0]]))
 
 
 def _signal_ring_radius(
@@ -532,8 +529,14 @@ def extract_charge(gram: Interferogram, sign_hint: int = 1) -> ChargeReading:
     reads at another. A carrier under 3 fringes across the frame's shorter
     side falls back to spectral detection (detect_carrier with sign_hint).
     Returns ell=0 with zero confidence when no carrier or no fringe signal
-    is present; an ambiguous circulation (further than 0.25 from an
-    integer) is returned flagged with low confidence, not raised.
+    is present.
+
+    Each core candidate is read on three circles; a circle's wrapped phase
+    differences telescope, so its winding is a whole number of turns. The
+    first core whose three circles agree is read, and later cores are not
+    computed; confidence is then the fringe visibility^(1/4) on a band
+    around the ring. If no core's circles agree, the first core with the
+    smallest spread gives its median turn count, at confidence 0.
 
     Everything after the demodulation runs on its coarse grid (see
     _demodulate): core candidates, ring radius, windings and the visibility
@@ -558,19 +561,21 @@ def extract_charge(gram: Interferogram, sign_hint: int = 1) -> ChargeReading:
     pitch = max(spec.dx, spec.dy)
     r_hi = 0.45 * min(spec.extent_x, spec.extent_y) - 2.0 * pitch
 
-    best: tuple[float, int, tuple[float, float], float] | None = None
+    best: tuple[int, int, tuple[float, float], float] | None = None
     for core in _core_candidates(D, env, spec):
         r_sig = _signal_ring_radius(env, spec, core)
         radii = [min(max(f * r_sig, 4.0 * pitch), r_hi) for f in (0.6, 1.0, 1.4)]
-        windings = _windings_on_circles(D, spec, core, radii)
         # conj(V)*R winds by ell(R)-ell(V); report ell(V)-ell(R)
-        circulations = [-w for w in windings]
-        ell = int(round(float(np.median(circulations))))
-        spread = max(abs(c - ell) for c in circulations)
-        if best is None or spread < best[0] - 1e-9:
+        turns = sorted(-round(w) for w in _windings_on_circles(D, spec, core, radii))
+        ell = turns[1]
+        spread = max(ell - turns[0], turns[2] - ell)
+        if best is None or spread < best[0]:
             best = (spread, ell, core, r_sig)
+        if spread == 0:
+            break
     spread, ell, core, r_sig = best
-    integer_conf = max(0.0, 1.0 - spread / 0.5)
+    if spread > 0:
+        return ChargeReading(ell, 0.0)
 
     ring = np.hypot(spec.x[None, :] - core[0], spec.y[:, None] - core[1])
     band = (ring >= 0.8 * r_sig) & (ring <= 1.2 * r_sig) & (i_lp > 1e-12 * i_lp.max())
@@ -578,8 +583,7 @@ def extract_charge(gram: Interferogram, sign_hint: int = 1) -> ChargeReading:
         vis = float(np.median(2.0 * env[band] / i_lp[band]))
     else:
         vis = 0.0
-    confidence = float(np.clip(integer_conf * np.clip(vis, 0.0, 1.0) ** 0.25, 0.0, 1.0))
-    return ChargeReading(ell, confidence)
+    return ChargeReading(ell, min(max(vis, 0.0), 1.0) ** 0.25)
 
 
 @dataclass(frozen=True)

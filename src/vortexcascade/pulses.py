@@ -106,19 +106,21 @@ def _single_chirped(pair: ChirpedPulsePair, t: np.ndarray) -> np.ndarray:
 
 def chirped_pair_field(pair: ChirpedPulsePair, grid: TimeGrid) -> np.ndarray:
     """Complex analytic field of the delayed pair sampled on the grid."""
-    t = grid.times
+    # the record's ends, bit for bit as grid.times holds them: the checks
+    # refuse a record before it is allocated
+    t_first, t_last = grid.t_start, grid.t_start + (grid.nt - 1) * grid.dt
     if grid.span < 4.0 * pair.tau:
         raise ValueError(
             f"grid span {grid.span:g} s under 4 envelope durations ({4 * pair.tau:g} s)"
         )
-    if t[0] > -2.0 * pair.tau or t[-1] < pair.t_d + 2.0 * pair.tau:
+    if t_first > -2.0 * pair.tau or t_last < pair.t_d + 2.0 * pair.tau:
         raise ValueError("grid does not cover both pulses with a 2*tau margin")
-    t_edge = max(abs(t[0]), abs(t[-1]))
-    w_max = abs(pair.b) * t_edge
+    w_max = abs(pair.b) * max(abs(t_first), abs(t_last))
     if w_max * grid.dt >= math.pi:
         raise AliasingError(
             f"instantaneous frequency up to {w_max:g} rad/s aliases at dt={grid.dt:g} s"
         )
+    t = grid.times
     return _single_chirped(pair, t) + _single_chirped(pair, t - pair.t_d)
 
 

@@ -248,6 +248,36 @@ class TestExtractCharge:
         gram = Interferogram(spec, noise, (TILT, 0.0), WL)
         assert extract_charge(gram).confidence < 0.5
 
+    def test_first_agreeing_core_ends_the_search(self, monkeypatch):
+        # a clean fork's first core already has agreeing circles, so no later
+        # core is computed: one ring radius, and no sigma = 1 smoothing
+        calls = {}
+        for name in ("_signal_ring_radius", "_gaussian_filter"):
+            def counted(*args, _name=name, _f=getattr(interferometry, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(interferometry, name, counted)
+        for ell in (0, 3, -5):
+            calls.update(_signal_ring_radius=0, _gaussian_filter=0)
+            assert extract_charge(vortex_gram(ell)).ell == ell
+            assert calls == {"_signal_ring_radius": 1, "_gaussian_filter": 1}, ell
+
+    def test_windings_are_whole_turns(self, monkeypatch, sweep_frames):
+        # the premise of reading whole turns: a closed loop's wrapped
+        # differences telescope, so every winding is an integer to rounding
+        windings = []
+
+        def recorded(*args, _f=interferometry._windings_on_circles):
+            got = _f(*args)
+            windings.extend(got)
+            return got
+
+        monkeypatch.setattr(interferometry, "_windings_on_circles", recorded)
+        for _, _, _, gram in sweep_frames:
+            extract_charge(gram)
+        assert len(windings) >= 3 * len(sweep_frames)
+        assert max(abs(w - round(w)) for w in windings) <= 1e-12
+
 
 def full_frame_demodulate(gram, carrier, rows, cols):
     """The full-frame demodulation the cropped one replaced, at fine positions.
@@ -703,7 +733,7 @@ class TestExactReadoutKernels:
             env = np.abs(D)
             expect = whole_grid_singular_cluster(D, env, spec)
             if expect is not None:
-                assert interferometry._core_candidates(D, env, spec)[0] == expect[0]
+                assert next(interferometry._core_candidates(D, env, spec)) == expect[0]
                 clusters += 1
                 at_five += expect[1]
         assert clusters >= 20 and at_five >= 20

@@ -191,13 +191,18 @@ class TestChirpedPairField:
 
     def test_span_guard(self):
         pair = matched_pair(tau=2e-12)
+        grid = TimeGrid(128, 1e-15)
         with pytest.raises(ValueError):
-            chirped_pair_field(pair, TimeGrid(128, 1e-15))
+            chirped_pair_field(pair, grid)
+        # refused from the record's ends, before its samples are made
+        assert "times" not in grid.__dict__
 
     def test_instantaneous_frequency_guard(self):
         pair = ChirpedPulsePair(tau=800e-15, b=1e30, t_d=100e-15)
+        grid = TimeGrid(8192, 1.0e-15)
         with pytest.raises(AliasingError):
-            chirped_pair_field(pair, TimeGrid(8192, 1.0e-15))
+            chirped_pair_field(pair, grid)
+        assert "times" not in grid.__dict__
 
 
 class TestSynthesizeWaveform:
