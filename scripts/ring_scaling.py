@@ -46,7 +46,7 @@ def main():
     )
     print("\nobserved sideband ring radius for ell_p = -ell_s = 1:")
     for k in (1, 2, 3):
-        label = SidebandLabel.from_ladder_index(k)
+        label = SidebandLabel(k)
         r = ring_radius(observed_sideband(pump, stokes, label))
         print(f"  {str(label):>3}: {r * 1e3:.4f} mm")
 

@@ -38,6 +38,8 @@ class SidebandLabel:
 
     @classmethod
     def from_ladder_index(cls, k: int) -> "SidebandLabel":
+        """SidebandLabel(k), the one spelling in the package; this alias
+        remains only because the benchmark's worker still calls it."""
         return cls(k)
 
     @classmethod

@@ -159,7 +159,7 @@ def cmd_figure3(cfg: RunConfig, outdir: Path) -> int:
         noise_fraction=cfg.noise,
         seed=cfg.seed,
     )
-    orders = [SidebandLabel.from_ladder_index(k) for k in range(-raman.max_s, raman.max_as + 2)]
+    orders = [SidebandLabel(k) for k in range(-raman.max_s, raman.max_as + 2)]
 
     def write_images(res: OrderResult) -> OrderResult:
         # each order's images go to disk as soon as it is read, so the panel

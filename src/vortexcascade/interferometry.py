@@ -456,20 +456,17 @@ def _core_candidates(
 ) -> Iterator[tuple[float, float]]:
     """Candidate singularity positions of the demodulated field, lazily.
 
-    Yields up to three cores, in order, each computed only when the caller
+    Yields up to two cores, in order, each computed only when the caller
     asks for the next: (1) the strongest cluster of +-2*pi
     phase-circulation cells embedded in real fringe signal, which resolves
     shallow cores whose envelope dip is weak (none when no cell
-    qualifies); (2) the centroid of the fringe signal (none when there is
-    no signal); (3) the deepest envelope hole inside the fringe annulus
-    (ties broken toward the axis), which handles wide dark cores and the
-    charge-0 case where no true singular cell exists.
+    qualifies); (2) the centroid of the fringe signal, which also serves
+    the charge-0 case where no singular cell exists (none when its
+    weights env**2 are all zero).
     """
-    sigma_big = max(3.0, min(spec.nx, spec.ny) / 64.0)
-    local = _gaussian_filter(env, sigma_big)
+    local = _gaussian_filter(env, max(3.0, min(spec.nx, spec.ny) / 64.0))
     xx, yy = spec.x[None, :], spec.y[:, None]  # broadcast, as spec.meshes()
-    rr = np.hypot(xx, yy)
-    central = rr <= 0.35 * min(spec.extent_x, spec.extent_y)
+    central = np.hypot(xx, yy) <= 0.35 * min(spec.extent_x, spec.extent_y)
 
     wind = _plaquette_winding(np.angle(D))
     cell_local = local[:-1, :-1]
@@ -487,11 +484,10 @@ def _core_candidates(
         box = np.s_[max(iy - 5, 0) : min(iy + 6, ny_c), max(ix - 5, 0) : min(ix + 6, nx_c)]
         cyy, cxx = np.mgrid[box]
         near = singular[box] & ((cxx - ix) ** 2 + (cyy - iy) ** 2 <= 25)
-        w = np.abs(wind[box][near]) * np.maximum(cell_local[box][near], 0.0)
-        fx, fy = float(ix), float(iy)
-        if float(np.sum(w)) > 0:
-            fx = float(np.sum(cxx[near] * w) / np.sum(w))
-            fy = float(np.sum(cyy[near] * w) / np.sum(w))
+        # each w > 0: |wind| > pi, and cell_local >= 5% of local.max() > 0
+        w = np.abs(wind[box][near]) * cell_local[box][near]
+        fx = float(np.sum(cxx[near] * w) / np.sum(w))
+        fy = float(np.sum(cyy[near] * w) / np.sum(w))
         yield ((fx + 0.5 - spec.nx // 2) * spec.dx, (fy + 0.5 - spec.ny // 2) * spec.dy)
 
     # centroid of the fringe signal: immune to isolated noise nulls, and for
@@ -500,16 +496,6 @@ def _core_candidates(
     total = float(np.sum(w2))
     if total > 0:
         yield (float(np.sum(xx * w2) / total), float(np.sum(yy * w2) / total))
-
-    sm = _gaussian_filter(env, 1.0)
-    search = central & (local >= 0.1 * float(local.max()))
-    if not np.any(search):
-        search = central
-    masked = np.where(search, sm, np.inf)
-    flat_min = np.min(masked)
-    ties = np.argwhere(masked <= flat_min * (1.0 + 1e-12) + 1e-300)
-    best = min(ties.tolist(), key=lambda ij: (rr[ij[0], ij[1]], ij[0], ij[1]))
-    yield (float(spec.x[best[1]]), float(spec.y[best[0]]))
 
 
 def _signal_ring_radius(
@@ -528,8 +514,8 @@ def extract_charge(gram: Interferogram, sign_hint: int = 1) -> ChargeReading:
     Demodulates at gram.carrier (angle_x, angle_y); replace(gram, carrier=...)
     reads at another. A carrier under 3 fringes across the frame's shorter
     side falls back to spectral detection (detect_carrier with sign_hint).
-    Returns ell=0 with zero confidence when no carrier or no fringe signal
-    is present.
+    Returns ell=0 with zero confidence when no carrier, no fringe signal or
+    no core candidate is present.
 
     Each core candidate is read on three circles; a circle's wrapped phase
     differences telescope, so its winding is a whole number of turns. The
@@ -573,6 +559,8 @@ def extract_charge(gram: Interferogram, sign_hint: int = 1) -> ChargeReading:
             best = (spread, ell, core, r_sig)
         if spread == 0:
             break
+    if best is None:
+        return ChargeReading(0, 0.0)
     spread, ell, core, r_sig = best
     if spread > 0:
         return ChargeReading(ell, 0.0)

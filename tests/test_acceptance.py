@@ -78,7 +78,7 @@ def test_criterion_1_selection_rule_exactness():
             for ell_s in range(-10, 11):
                 cfg = raman_config(ell_p, ell_s, max_as=25, max_s=25)
                 for k in range(-25, 27):
-                    label = SidebandLabel.from_ladder_index(k)
+                    label = SidebandLabel(k)
                     try:
                         omega_closed = sideband_frequency(cfg, label)
                     except NegativeFrequencyError:
@@ -93,7 +93,7 @@ def test_criterion_1_selection_rule_exactness():
 def run_panel(ell_p, ell_s):
     cfg = raman_config(ell_p, ell_s, max_as=2, max_s=2)
     geometry = PanelGeometry(spec=GridSpec.square(512, 25e-6), waist=1e-3)
-    orders = [SidebandLabel.from_ladder_index(k) for k in (3, 2, 1, 0, -1, -2)]
+    orders = [SidebandLabel(k) for k in (3, 2, 1, 0, -1, -2)]
     return analyze_order_panel(cfg, geometry, orders)
 
 
@@ -155,7 +155,7 @@ def test_criterion_5_ring_radius_scaling():
         pump = lg_mode_field(LGModeIndex(0, 1), BeamParams(1e-3, lam_p), spec)
         stokes = lg_mode_field(LGModeIndex(0, -1), BeamParams(1e-3, lam_s), spec)
         observed = [
-            ring_radius(observed_sideband(pump, stokes, SidebandLabel.from_ladder_index(k)))
+            ring_radius(observed_sideband(pump, stokes, SidebandLabel(k)))
             for k in (1, 2, 3)  # pump, AS1, AS2
         ]
         assert observed[0] < observed[1] < observed[2]
@@ -267,9 +267,9 @@ def test_criterion_8_chirp_matching():
         cfg = raman_config(1, 1)
         channels = tuple(
             CombChannel(
-                label=SidebandLabel.from_ladder_index(k),
-                omega=sideband_frequency(cfg, SidebandLabel.from_ladder_index(k)),
-                ell=sideband_charge(cfg, SidebandLabel.from_ladder_index(k)),
+                label=SidebandLabel(k),
+                omega=sideband_frequency(cfg, SidebandLabel(k)),
+                ell=sideband_charge(cfg, SidebandLabel(k)),
             )
             for k in range(-2, 3)
         )

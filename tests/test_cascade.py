@@ -52,7 +52,7 @@ def make_config(ell_p=1, ell_s=-1, max_as=20, max_s=20):
 class TestLabels:
     def test_ladder_index_bijection(self):
         for k in range(-30, 31):
-            label = SidebandLabel.from_ladder_index(k)
+            label = SidebandLabel(k)
             assert label.k == k
             assert SidebandLabel.parse(str(label)) == label
 
@@ -114,14 +114,14 @@ class TestFrequencies:
             max_s=25,
         )
         omegas = [
-            sideband_frequency(cfg, SidebandLabel.from_ladder_index(k)) for k in range(-25, 27)
+            sideband_frequency(cfg, SidebandLabel(k)) for k in range(-25, 27)
         ]
         assert np.all(np.diff(omegas, 2) == 0.0)
 
     def test_affine_ladder_near_machine_epsilon_on_physical_inputs(self):
         cfg = make_config()
         omegas = np.array(
-            [sideband_frequency(cfg, SidebandLabel.from_ladder_index(k)) for k in range(-20, 22)]
+            [sideband_frequency(cfg, SidebandLabel(k)) for k in range(-20, 22)]
         )
         assert np.max(np.abs(np.diff(omegas, 2))) <= 4 * np.finfo(float).eps * omegas.max()
 
@@ -130,7 +130,7 @@ class TestCharges:
     def test_equal_seeds_give_order_independent_charge(self):
         cfg = make_config(ell_p=1, ell_s=1)
         for k in range(-20, 22):
-            assert sideband_charge(cfg, SidebandLabel.from_ladder_index(k)) == 1
+            assert sideband_charge(cfg, SidebandLabel(k)) == 1
 
     def test_opposite_seeds_give_odd_ladder(self):
         cfg = make_config(ell_p=1, ell_s=-1)
@@ -138,14 +138,14 @@ class TestCharges:
             assert sideband_charge(cfg, SidebandLabel(n + 1)) == 2 * n + 1
             assert sideband_charge(cfg, SidebandLabel(-n)) == -(2 * n + 1)
         ladder = [
-            sideband_charge(cfg, SidebandLabel.from_ladder_index(k)) for k in (-2, -1, 0, 1, 2, 3)
+            sideband_charge(cfg, SidebandLabel(k)) for k in (-2, -1, 0, 1, 2, 3)
         ]
         assert ladder == [-5, -3, -1, 1, 3, 5]
 
     def test_zero_seeds_stay_zero(self):
         cfg = make_config(ell_p=0, ell_s=0)
         for k in range(-15, 17):
-            assert sideband_charge(cfg, SidebandLabel.from_ladder_index(k)) == 0
+            assert sideband_charge(cfg, SidebandLabel(k)) == 0
 
 
 class TestRecursion:
@@ -161,7 +161,7 @@ class TestRecursion:
             for ell_s in range(-3, 4):
                 cfg = make_config(ell_p=ell_p, ell_s=ell_s, max_as=25, max_s=25)
                 for k in range(-25, 27):
-                    label = SidebandLabel.from_ladder_index(k)
+                    label = SidebandLabel(k)
                     try:
                         omega_c = sideband_frequency(cfg, label)
                     except NegativeFrequencyError:
@@ -236,7 +236,7 @@ class TestSourceMatchesOracle:
         assert (ell_s is None) == (pump.values is stokes.values)
         inputs = pump.values.copy(), stokes.values.copy()
         for k in range(-3, 5):
-            label = SidebandLabel.from_ladder_index(k)
+            label = SidebandLabel(k)
             out = spatial_sideband(pump, stokes, label)
             expected = spatial_sideband_oracle(pump, stokes, label)
             assert np.array_equal(out.values.view(np.uint64), expected.view(np.uint64)), k
@@ -247,7 +247,7 @@ class TestSourceMatchesOracle:
         pump, stokes = self.seeds(256, 0, 0)
         shifted = pump.with_values(np.roll(pump.values, 128, axis=1))
         for k in (-2, 3):
-            label = SidebandLabel.from_ladder_index(k)
+            label = SidebandLabel(k)
             with pytest.raises(DegenerateOverlapError) as expected:
                 spatial_sideband_oracle(shifted, stokes, label)
             with pytest.raises(DegenerateOverlapError) as got:
@@ -297,7 +297,7 @@ class TestSpatialSideband:
                 pump = lg_mode_field(LGModeIndex(0, ell_p), BeamParams(1e-3, self.lam_p), spec)
                 stokes = lg_mode_field(LGModeIndex(0, ell_s), BeamParams(1e-3, self.lam_s), spec)
                 for k in range(-3, 5):
-                    label = SidebandLabel.from_ladder_index(k)
+                    label = SidebandLabel(k)
                     out = spatial_sideband(pump, stokes, label)
                     loop = max(ring_radius(out), 0.5e-3)
                     assert_winding(out, loop, sideband_charge(cfg, label))
@@ -318,7 +318,7 @@ class TestSpatialSideband:
     def test_observed_rings_grow_with_order_for_opposite_seeds(self):
         pump, stokes = self.pump(1), self.stokes(-1)
         radii = [
-            ring_radius(observed_sideband(pump, stokes, SidebandLabel.from_ladder_index(k)))
+            ring_radius(observed_sideband(pump, stokes, SidebandLabel(k)))
             for k in (1, 2, 3)
         ]
         assert radii[0] < radii[1] < radii[2]
@@ -328,7 +328,7 @@ class TestSpatialSideband:
         # w/sqrt(2); the growth belongs to the observation plane
         pump, stokes = self.pump(1), self.stokes(-1)
         radii = [
-            ring_radius(spatial_sideband(pump, stokes, SidebandLabel.from_ladder_index(k)))
+            ring_radius(spatial_sideband(pump, stokes, SidebandLabel(k)))
             for k in (1, 2, 3)
         ]
         for r in radii:
@@ -363,7 +363,7 @@ class TestObservedSidebandClosedForm:
         y0, x0 = shift[0] * spec.dy, shift[1] * spec.dx
         lam_f = OVERSAMPLE * spec.nx * spec.dx**2  # far_field's lambda*f
         for k in range(-2, 4):  # S2..AS2
-            label = SidebandLabel.from_ladder_index(k)
+            label = SidebandLabel(k)
             ff = observed_sideband(*seeds, label)
             ell = sideband_charge(cfg, label)
             assert abs(ell) == abs(2 * k - 1)
@@ -387,8 +387,8 @@ class TestMirroredSideband:
         pump = lg_mode_field(LGModeIndex(0, 1), BeamParams(0.8e-3, lam_p), spec)
         stokes = pump.with_wavelength(lam_s)
         for k in range(-2, 4):
-            label = SidebandLabel.from_ladder_index(k)
-            partner = observed_sideband(pump, stokes, SidebandLabel.from_ladder_index(1 - k))
+            label = SidebandLabel(k)
+            partner = observed_sideband(pump, stokes, SidebandLabel(1 - k))
             field = mirrored_sideband(partner, pump, stokes, label)
             assert field.values is partner.values, k
             assert field.spec == partner.spec, k
@@ -411,7 +411,7 @@ class TestComb:
         cfg = make_config()
         expected = []
         for k in range(-(n // 2), -(n // 2) + n):
-            label = SidebandLabel.from_ladder_index(k)
+            label = SidebandLabel(k)
             expected.append(
                 (label, sideband_frequency(cfg, label), sideband_charge(cfg, label))
             )

@@ -198,6 +198,15 @@ class TestCombCommand:
             k = int(r["k"])
             assert int(r["ell"]) == -1 + k * 2
 
+    def test_config_file_equals_set_overrides(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("raman_shift_cm1 = 330\n")
+        from_file, from_set = tmp_path / "file", tmp_path / "set"
+        assert main(["comb", "--config", str(config), "--out", str(from_file)]) == 0
+        assert main(["comb", "--set", "raman_shift_cm1=330", "--out", str(from_set)]) == 0
+        # 330 is not the default, so an ignored file would differ
+        assert (from_file / "comb.csv").read_bytes() == (from_set / "comb.csv").read_bytes()
+
     def test_config_error_exit_code(self, tmp_path):
         assert main(["comb", "--out", str(tmp_path), "--set", "bogus=1"]) == 2
         assert main(["comb", "--out", str(tmp_path), "--set", "grid_n=4"]) == 2

@@ -8,6 +8,7 @@ import pytest
 
 from vortexcascade import (
     BeamParams,
+    ChargeReading,
     ComplexFieldGrid,
     GridSpec,
     Interferogram,
@@ -225,10 +226,13 @@ class TestExtractCharge:
 
     def test_flat_image_reads_zero(self):
         spec = GridSpec.square(128, 1.0)
-        gram = Interferogram(spec, np.full((128, 128), 0.5), (0.0, 0.0), 1.0)
-        reading = extract_charge(gram)
-        assert reading.ell == 0
-        assert reading.confidence == 0.0
+        flat = Interferogram(spec, np.full((128, 128), 0.5), (0.0, 0.0), 1.0)
+        # a charge-0 fork scaled to 1e-170 has no singular cell, and its
+        # centroid weights env**2 underflow to 0: no core candidate at all
+        fork = vortex_gram(0)
+        faint = replace(fork, intensity=fork.intensity * 1e-170)
+        for gram in (flat, faint):
+            assert extract_charge(gram) == ChargeReading(0, 0.0)
 
     def test_noise_robust_round_trip(self):
         rng = np.random.default_rng(11)
@@ -250,7 +254,7 @@ class TestExtractCharge:
 
     def test_first_agreeing_core_ends_the_search(self, monkeypatch):
         # a clean fork's first core already has agreeing circles, so no later
-        # core is computed: one ring radius, and no sigma = 1 smoothing
+        # core is computed: one ring radius
         calls = {}
         for name in ("_signal_ring_radius", "_gaussian_filter"):
             def counted(*args, _name=name, _f=getattr(interferometry, name)):
@@ -261,6 +265,22 @@ class TestExtractCharge:
             calls.update(_signal_ring_radius=0, _gaussian_filter=0)
             assert extract_charge(vortex_gram(ell)).ell == ell
             assert calls == {"_signal_ring_radius": 1, "_gaussian_filter": 1}, ell
+
+    @pytest.mark.parametrize("ell,sign,hint", [(-9, 1, 1), (9, -1, -1)])
+    def test_no_agreeing_core_reads_at_zero_confidence(self, monkeypatch, ell, sign, hint):
+        # a charge of 9 on a 16-fringe carrier: neither the cluster's nor the
+        # centroid's circles agree, so the reading has no confidence, and the
+        # 32 x 32 crop's envelope is smoothed once, at sigma 3, for both cores
+        sigmas = []
+
+        def counted(*args, _f=interferometry._gaussian_filter):
+            sigmas.append(args[1])
+            return _f(*args)
+
+        monkeypatch.setattr(interferometry, "_gaussian_filter", counted)
+        gram = vortex_gram(ell, tilt=sign * 16 * WL / (N * PITCH), w0=0.5e-3)
+        assert extract_charge(bare(gram.intensity, gram.spec, WL), hint).confidence == 0.0
+        assert sigmas == [3.0]
 
     def test_windings_are_whole_turns(self, monkeypatch, sweep_frames):
         # the premise of reading whole turns: a closed loop's wrapped
@@ -846,7 +866,8 @@ class TestGaussianFilter:
     @pytest.mark.parametrize("sigma", [1.0, 3.0, 8.0])
     def test_matches_scipy(self, shape, sigma):
         # oracle: scipy's gaussian_filter (reflect edges, truncate 4), which
-        # _core_candidates used to call; sigma 3 and 8 pad beyond the frame
+        # _core_candidates used to call; it now smooths only at sigma >= 3,
+        # and sigma 3 and 8 pad beyond the frame
         ndimage = pytest.importorskip("scipy.ndimage")
         a = np.random.default_rng(shape[0] * 100 + shape[1]).random(shape)
         expect = ndimage.gaussian_filter(a, sigma=sigma)
@@ -887,7 +908,7 @@ def panel_config(ell_p, ell_s, max_as=2, max_s=2):
     )
 
 
-ORDERS = [SidebandLabel.from_ladder_index(k) for k in (3, 2, 1, 0, -1, -2)]
+ORDERS = [SidebandLabel(k) for k in (3, 2, 1, 0, -1, -2)]
 
 
 class TestOrderPanel:
@@ -939,7 +960,7 @@ class TestPanelSink:
     def test_sink_sees_each_order_once_in_pair_order(self):
         # S39 is past the end of the ladder: its error reaches the sink too
         orders = [SidebandLabel(-39)] + [
-            SidebandLabel.from_ladder_index(k) for k in range(-2, 4)
+            SidebandLabel(k) for k in range(-2, 4)
         ]
         seen = []
 

@@ -121,9 +121,9 @@ def five_channel_comb():
     cfg = raman_320_config()
     channels = tuple(
         CombChannel(
-            label=SidebandLabel.from_ladder_index(k),
-            omega=sideband_frequency(cfg, SidebandLabel.from_ladder_index(k)),
-            ell=sideband_charge(cfg, SidebandLabel.from_ladder_index(k)),
+            label=SidebandLabel(k),
+            omega=sideband_frequency(cfg, SidebandLabel(k)),
+            ell=sideband_charge(cfg, SidebandLabel(k)),
         )
         for k in range(-2, 3)
     )
