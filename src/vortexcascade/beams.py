@@ -75,7 +75,7 @@ def lg_mode_field(index: LGModeIndex, beam: BeamParams, spec: GridSpec) -> Compl
     a = abs(ell)
     w0 = beam.waist_w0
 
-    xx, yy = spec.meshes()
+    xx, yy = spec.x[None, :], spec.y[:, None]
     r2 = xx**2 + yy**2
     rho = np.sqrt(2.0 * r2) / w0
 

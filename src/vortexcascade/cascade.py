@@ -243,7 +243,8 @@ def observed_sideband(
     reference set, or a vortex set with ell_p = ell_s): the source of order
     k, p^a*conj(s)^b, is then that of order 1 - k, and its far field is the
     same at every wavelength. mirrored_sideband turns one order's field into
-    its partner's.
+    its partner's; interferometry.analyze_order_panel shares it that way
+    within each pair of orders.
     """
     product = spatial_sideband(pump_field, stokes_field, label)
     return far_field(product)

@@ -54,14 +54,9 @@ class GridSpec:
     def y(self) -> np.ndarray:
         return (np.arange(self.ny) - self.ny // 2) * self.dy
 
-    def meshes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(xx, yy) coordinate arrays of shape (ny, nx)."""
-        return np.meshgrid(self.x, self.y)
-
     def azimuth(self) -> np.ndarray:
-        """Polar angle in [0, 2*pi), counterclockwise from +x."""
-        xx, yy = self.meshes()
-        return np.mod(np.arctan2(yy, xx), 2.0 * np.pi)
+        """Polar angle in [0, 2*pi), counterclockwise from +x, shape (ny, nx)."""
+        return np.mod(np.arctan2(self.y[:, None], self.x[None, :]), 2.0 * np.pi)
 
 
 @dataclass(frozen=True)

@@ -465,7 +465,7 @@ def _core_candidates(
     weights env**2 are all zero).
     """
     local = _gaussian_filter(env, max(3.0, min(spec.nx, spec.ny) / 64.0))
-    xx, yy = spec.x[None, :], spec.y[:, None]  # broadcast, as spec.meshes()
+    xx, yy = spec.x[None, :], spec.y[:, None]
     central = np.hypot(xx, yy) <= 0.35 * min(spec.extent_x, spec.extent_y)
 
     wind = _plaquette_winding(np.angle(D))
@@ -621,8 +621,9 @@ def analyze_order_panel(
     others. Results follow the requested order list.
 
     Where a set's two seeds are one array, orders k and 1 - k share one
-    observed field (see observed_sideband). The orders run pair by pair, so
-    a shared field is held only until the last order of its pair takes it.
+    observed field (see observed_sideband). The orders run pair by pair; a
+    pair's dict holds that field until the partner takes it, or until the
+    pair ends when the partner is not requested.
 
     sink, when given, is called with each order's OrderResult as soon as
     that order is read, in pair order (for k = -2..3: S2, AS2, S1, AS1, S,
@@ -633,45 +634,41 @@ def analyze_order_panel(
     lam_p = wavelength_from_omega(cfg.omega_p)
     lam_s = wavelength_from_omega(cfg.omega_s)
     # at the waist an LG mode does not depend on wavelength (w(z) = w0), so
-    # each charge is sampled once and retagged with each colour: a set's two
-    # seeds are one array exactly when they share a charge
+    # each charge is sampled once at the pump's colour and retagged with the
+    # Stokes colour: a set's two seeds are one array exactly when they share
+    # a charge
     sampled = {
         ell: lg_mode_field(LGModeIndex(0, ell), BeamParams(geometry.waist, lam_p), geometry.spec)
         for ell in dict.fromkeys((cfg.ell_p, cfg.ell_s, 0))
     }
     sets = (
-        (sampled[cfg.ell_p].with_wavelength(lam_p), sampled[cfg.ell_s].with_wavelength(lam_s)),
-        (sampled[0].with_wavelength(lam_p), sampled[0].with_wavelength(lam_s)),
+        (sampled[cfg.ell_p], sampled[cfg.ell_s].with_wavelength(lam_s)),
+        (sampled[0], sampled[0].with_wavelength(lam_s)),
     )
-    mirrored = [pump.values is stokes.values for pump, stokes in sets]
 
-    def observe(s: int, label: SidebandLabel, shared: dict, last: bool) -> ComplexFieldGrid:
+    def observe(s: int, label: SidebandLabel, shared: dict) -> ComplexFieldGrid:
         pump, stokes = sets[s]
-        if not mirrored[s]:
-            return observed_sideband(pump, stokes, label)
-        partner = shared.pop(s, None) if last else shared.get(s)
-        if partner is not None:
-            return mirrored_sideband(partner, pump, stokes, label)
+        if s in shared:
+            return mirrored_sideband(shared.pop(s), pump, stokes, label)
         field = observed_sideband(pump, stokes, label)
-        if not last:
+        if pump.values is stokes.values:
             shared[s] = field
         return field
 
-    def read(label: SidebandLabel, shared: dict, last: bool) -> OrderResult:
+    def read(label: SidebandLabel, shared: dict) -> OrderResult:
         # the order's fields and gram die with this frame, before the next
         # order's sidebands are made
         try:
-            vortex = observe(0, label, shared, last)
-            reference = observe(1, label, shared, last)
+            vortex = observe(0, label, shared)
+            reference = observe(1, label, shared)
             tilt = geometry.fringe_count() * vortex.wavelength / (
                 vortex.spec.nx * vortex.spec.dx
             )
             gram = synthesize_interferogram(
                 vortex, reference, tilt, geometry.offset_y, label=label
             )
-            if geometry.noise_fraction > 0.0:
-                rng = np.random.default_rng((geometry.seed, label.k + 10_000))
-                gram = add_intensity_noise(gram, geometry.noise_fraction, rng)
+            rng = np.random.default_rng((geometry.seed, label.k + 10_000))
+            gram = add_intensity_noise(gram, geometry.noise_fraction, rng)
             return OrderResult(
                 label=label,
                 status="ok",
@@ -689,7 +686,7 @@ def analyze_order_panel(
     for members in pairs.values():
         shared: dict[int, ComplexFieldGrid] = {}  # set index -> this pair's field
         for i in members:
-            results[i] = read(orders[i], shared, last=i == members[-1])
+            results[i] = read(orders[i], shared)
             if sink is not None:
                 results[i] = sink(results[i])
     return results

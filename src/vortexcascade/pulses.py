@@ -171,7 +171,9 @@ def train_period(series: np.ndarray, dt: float) -> float:
 
     Takes the smallest-lag local maximum within 2x of the strongest echo
     (echoes of a periodic train are near-equal, so this picks the fundamental)
-    and refines it parabolically. Raises when the series is constant up to
+    and refines it parabolically on the autocorrelation per overlapping
+    sample pair. Zero padding to 3n/2 points keeps every lag read (all
+    below n/2) from wrapping. Raises when the series is constant up to
     rounding or no echo exists.
     """
     series = np.asarray(series, dtype=float)
@@ -181,8 +183,8 @@ def train_period(series: np.ndarray, dt: float) -> float:
     a = series - series.mean()
     if np.std(a) <= _ROUNDING_SPREAD * abs(series.mean()):
         raise NonPeriodicError("series is constant up to rounding")
-    ac = np.fft.irfft(np.abs(np.fft.rfft(a)) ** 2, n=n)
-    half = ac[: n // 2]
+    m = 3 * n // 2
+    half = np.fft.irfft(np.abs(np.fft.rfft(a, m)) ** 2, n=m)[: n // 2]
     interior = np.arange(2, half.size - 1)
     is_max = (half[interior] > half[interior - 1]) & (half[interior] >= half[interior + 1])
     peaks = interior[is_max]
@@ -191,7 +193,8 @@ def train_period(series: np.ndarray, dt: float) -> float:
         raise NonPeriodicError("no periodic structure in the series")
     strongest = float(np.max(half[peaks]))
     fundamental = int(peaks[half[peaks] >= 0.5 * strongest][0])
-    lo, mid, hi = half[fundamental - 1], half[fundamental], half[fundamental + 1]
+    lags = np.arange(fundamental - 1, fundamental + 2)
+    lo, mid, hi = half[lags] / (n - lags)
     denom = lo - 2.0 * mid + hi
     delta = 0.0 if denom == 0 else float(np.clip(0.5 * (lo - hi) / denom, -0.5, 0.5))
     return (fundamental + delta) * dt

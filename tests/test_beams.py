@@ -30,7 +30,7 @@ def beam_and_grid(n=256, pitch=25e-6, w0=1e-3):
 
 def field_width(field):
     """w = sqrt(2<r^2>) of the intensity, the 1/e^2 radius for a Gaussian."""
-    xx, yy = field.spec.meshes()
+    xx, yy = np.meshgrid(field.spec.x, field.spec.y)
     intensity = field.intensity()
     r2 = float(np.sum((xx**2 + yy**2) * intensity) / np.sum(intensity))
     return math.sqrt(2.0 * r2)
@@ -188,7 +188,7 @@ class TestDecompose:
     def test_parseval_when_basis_captures_power(self):
         # weakly curved Gaussian: smooth, so the basis converges fast
         beam, spec = beam_and_grid()
-        xx, yy = spec.meshes()
+        xx, yy = np.meshgrid(spec.x, spec.y)
         curved = gaussian_field(beam, spec)
         phase = 0.5 * ((xx**2 + yy**2) / beam.waist_w0**2)
         curved = curved.with_values(curved.values * np.exp(1j * phase))

@@ -534,7 +534,7 @@ def separate_radial_intensity_profile(field):
     bincounts of the meshgrid radii, cut to the annuli inside the aperture."""
     spec = field.spec
     dr = max(spec.dx, spec.dy)
-    xx, yy = spec.meshes()
+    xx, yy = np.meshgrid(spec.x, spec.y)
     idx = (np.hypot(xx, yy) / dr).astype(np.int64)
     weights = field.intensity()
     counts = np.bincount(idx.ravel())
@@ -586,7 +586,7 @@ def whole_grid_singular_cluster(D, env, spec):
     was boxed (hypot distances to every cell of the grid), and the number of
     singular cells exactly 5 cells from the strongest; None without one."""
     local = _gaussian_filter(env, max(3.0, min(spec.nx, spec.ny) / 64.0))
-    xx, yy = spec.meshes()
+    xx, yy = np.meshgrid(spec.x, spec.y)
     central = np.hypot(xx, yy) <= 0.35 * min(spec.extent_x, spec.extent_y)
     wind = interferometry._plaquette_winding(np.angle(D))
     cell_local = local[:-1, :-1]
@@ -909,6 +909,8 @@ def panel_config(ell_p, ell_s, max_as=2, max_s=2):
 
 
 ORDERS = [SidebandLabel(k) for k in (3, 2, 1, 0, -1, -2)]
+# S3's partner AS3 is not requested: its fields stay in its pair's dict
+PARTNERLESS = [SidebandLabel(-3), SidebandLabel(2), SidebandLabel(-1)]
 
 
 class TestOrderPanel:
@@ -939,6 +941,12 @@ class TestOrderPanel:
         geometry = self.geometry(noise_fraction=0.05, seed=42)
         results = analyze_order_panel(panel_config(1, -1), geometry, ORDERS)
         assert [r.reading.ell for r in results] == [5, 3, 1, -1, -3, -5]
+
+    def test_negative_noise_is_an_order_error(self):
+        geometry = self.geometry(noise_fraction=-0.1)
+        results = analyze_order_panel(panel_config(1, -1), geometry, ORDERS)
+        for r in results:
+            assert r.status.startswith("error: noise fraction must be non-negative"), r.label
 
     def test_results_preserve_requested_order_and_images(self):
         results = analyze_order_panel(panel_config(1, -1), self.geometry(), ORDERS)
@@ -1026,7 +1034,9 @@ class TestMirroredOrdersShareFields:
     @pytest.mark.parametrize("ell_s,calls", [(-1, 9), (1, 6)])
     def test_observed_sideband_calls(self, monkeypatch, ell_s, calls):
         # 3 mirrored pairs: the reference set shares always, the vortex set
-        # only when ell_p = ell_s
+        # only when ell_p = ell_s. In PARTNERLESS, S3 observes both sets, AS2
+        # both, and S1 retags the sets AS2 shares: 4 calls, or 5 when the
+        # vortex set does not share
         seen = []
         original = interferometry.observed_sideband
 
@@ -1038,6 +1048,10 @@ class TestMirroredOrdersShareFields:
         results = analyze_order_panel(panel_config(1, ell_s), self.geometry(), ORDERS)
         assert all(r.ok for r in results)
         assert len(seen) == calls
+        seen.clear()
+        results = analyze_order_panel(panel_config(1, ell_s), self.geometry(), PARTNERLESS)
+        assert all(r.ok for r in results)
+        assert len(seen) == {1: 4, -1: 5}[ell_s]
 
     @pytest.mark.parametrize("ell_s", [-1, 1])
     def test_each_order_equals_its_single_order_panel(self, ell_s):
@@ -1046,15 +1060,16 @@ class TestMirroredOrdersShareFields:
         # and numpy's complex product can round differently that way round
         cfg = panel_config(1, ell_s)
         geometry = self.geometry(noise_fraction=0.03, seed=7)
-        for shared in analyze_order_panel(cfg, geometry, ORDERS):
-            (alone,) = analyze_order_panel(cfg, geometry, [shared.label])
-            assert shared.reading.ell == alone.reading.ell, shared.label
-            assert shared.reading.confidence == pytest.approx(
-                alone.reading.confidence, rel=1e-12, abs=0.0
-            ), shared.label
-            for a, b in ((shared.beam_intensity, alone.beam_intensity),
-                         (shared.fork_intensity, alone.fork_intensity)):
-                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), shared.label
+        for orders in (ORDERS, PARTNERLESS):
+            for shared in analyze_order_panel(cfg, geometry, orders):
+                (alone,) = analyze_order_panel(cfg, geometry, [shared.label])
+                assert shared.reading.ell == alone.reading.ell, shared.label
+                assert shared.reading.confidence == pytest.approx(
+                    alone.reading.confidence, rel=1e-12, abs=0.0
+                ), shared.label
+                for a, b in ((shared.beam_intensity, alone.beam_intensity),
+                             (shared.fork_intensity, alone.fork_intensity)):
+                    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), shared.label
 
     @pytest.mark.parametrize("ell_p,ell_s,calls", [(1, -1, 3), (1, 1, 2), (0, 0, 1), (0, 2, 2)])
     def test_each_seed_charge_sampled_once(self, monkeypatch, ell_p, ell_s, calls):

@@ -282,13 +282,14 @@ class TestSynthesizeWaveform:
         "channels,line",
         [
             (1, "comb train: no periodic structure detected"),
-            (2, "comb train period: 104.047 fs (relative error vs Raman: 0.18%)"),
-            (5, "comb train period: 104.143 fs (relative error vs Raman: 0.09%)"),
+            (2, "comb train period: 104.200 fs (relative error vs Raman: 0.04%)"),
+            (5, "comb train period: 104.247 fs (relative error vs Raman: 0.01%)"),
             (41, "comb train period: 104.240 fs (relative error vs Raman: 0.00%)"),
         ],
     )
     def test_printed_train_period(self, tmp_path, capsys, channels, line):
-        # the periods the channel loop's waveforms gave at the default record
+        # the periods of the default record's trains, read from their
+        # zero-padded autocorrelation: each within 0.05% of the Raman period
         argv = ["pulse", "--out", str(tmp_path), "--set", "match=true",
                 "--set", f"pulse_channels={channels}"]
         assert main(argv) == 0
@@ -356,6 +357,15 @@ class TestTrainPeriod:
         grid = TimeGrid(8192, 2.0e-15)
         series = 1.0 + np.cos(omega * grid.times)
         assert train_period(series, grid.dt) == pytest.approx(2.0 * math.pi / omega, rel=0.005)
+
+    @pytest.mark.parametrize("nt", [4096, 16384, 65536])
+    def test_cosine_of_non_integer_period(self, nt):
+        # 260.6 samples a period, so no record holds a whole number of them:
+        # a circular autocorrelation reads up to 1.3% short here
+        grid = TimeGrid(nt, 0.4e-15)
+        series = 1.0 + np.cos(2.0 * math.pi * grid.times / RAMAN_PERIOD)
+        # abs=0: approx's default 1e-12 s would pass any period
+        assert train_period(series, grid.dt) == pytest.approx(RAMAN_PERIOD, rel=5e-4, abs=0.0)
 
     def test_smooth_hump_has_no_period(self):
         grid = TimeGrid(4096, 1.0e-15)
