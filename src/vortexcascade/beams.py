@@ -20,6 +20,8 @@ from .grids import ComplexFieldGrid, GridSpec
 # focal-plane sampling of every observed order: the synthetic aperture is
 # this many times the source frame (see far_field)
 OVERSAMPLE = 4
+# columns per block of the far field's matrix products (see _folded_dft)
+BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -83,9 +85,19 @@ def lg_mode_field(index: LGModeIndex, beam: BeamParams, spec: GridSpec) -> Compl
     norm = math.sqrt(2.0 / math.pi) * math.exp(
         0.5 * (math.lgamma(p + 1) - math.lgamma(p + a + 1))
     )
-    amp = (norm / w0) * rho**a * _laguerre(p, a, rho**2) * np.exp(-r2 / w0**2)
-    phase = ell * np.arctan2(yy, xx)
-    return ComplexFieldGrid(spec, beam.wavelength, amp * np.exp(1j * phase))
+    # (norm/w0) * rho**a * L * exp(-r2/w0**2), multiplied in place in that
+    # order; the phasor is cos + i*sin, the value exp(1j*phase) takes
+    amp = rho**a
+    amp *= norm / w0
+    amp *= _laguerre(p, a, rho**2)
+    amp *= np.exp(-r2 / w0**2)
+    values = amp.astype(np.complex128)  # the phasor of ell = 0 is 1
+    if ell:
+        phase = ell * np.arctan2(yy, xx)
+        np.cos(phase, out=values.real)
+        np.sin(phase, out=values.imag)
+        values *= amp
+    return ComplexFieldGrid(spec, beam.wavelength, values, _adopt=True)
 
 
 def gaussian_field(beam: BeamParams, spec: GridSpec) -> ComplexFieldGrid:
@@ -163,51 +175,56 @@ def _dft_tables(n: int, n_pad: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angle)[ft], np.sin(angle)[ft[1:, 1:]]
 
 
-def _folded_dft(src: np.ndarray, dst: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray) -> None:
-    """dst[:, f] = sum_t exp(-2*pi*i*f*t/n_pad) * src[:, t] along axis 1.
+def _folded_dft(planes: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray) -> None:
+    """planes[:, f] = sum_t exp(-2*pi*i*f*t/n_pad) * planes[:, t] along axis 1, in place.
 
-    src and dst hold the real and imaginary planes on axis 0; they may be
-    the same array, since every sample is read before any is written. f
-    and t run over the centred indices lo..hi of _dft_tables' window, with
-    lo = (n_pad - n)//2 - n_pad//2 and hi = lo + n - 1. Since -lo >= hi,
-    the window folds about t = 0 with m = -lo: e_t = x_t + x_-t and
-    o_t = x_-t - x_t (x_t = 0 past hi) give X(+-f) = (C @ e)_f +- i*(S @ o)_f,
-    each table one real matrix product on both planes.
+    planes holds the real and imaginary planes on axis 0. f and t run over
+    the centred indices lo..hi of _dft_tables' window, with lo = (n_pad -
+    n)//2 - n_pad//2 and hi = lo + n - 1. Since -lo >= hi, the window folds
+    about t = 0 with m = -lo: e_t = x_t + x_-t and o_t = x_-t - x_t (x_t = 0
+    past hi) give X(+-f) = (C @ e)_f +- i*(S @ o)_f, each table one real
+    matrix product on both planes. The columns (axis 2) go BLOCK at a time,
+    each block's samples all read before any is written, so the scratch is
+    six slabs of about n/2 rows by BLOCK columns however wide the frame.
     """
-    n, k = src.shape[1:]
+    n, k = planes.shape[1:]
     m = cos_t.shape[0] - 1
     hi = n - 1 - m
-    work = np.empty(6 * (m + 1) * k)
+    work = np.empty(6 * (m + 1) * min(k, BLOCK))
 
-    def scratch(i, rows):
-        # the i-th third of work, laid out as src, so each plane is a
-        # matrix BLAS reads without a copy
-        buf = work[2 * (m + 1) * k * i :][: 2 * rows * k]
-        if src.strides[1] < src.strides[2]:
-            return buf.reshape(2, k, rows).transpose(0, 2, 1)
-        return buf.reshape(2, rows, k)
+    def scratch(i, rows, kb):
+        # the i-th third of work for a block of kb columns, laid out as
+        # planes, so each plane is a matrix BLAS reads without a copy
+        buf = work[2 * (m + 1) * kb * i :][: 2 * rows * kb]
+        if planes.strides[1] < planes.strides[2]:
+            return buf.reshape(2, kb, rows).transpose(0, 2, 1)
+        return buf.reshape(2, rows, kb)
 
-    even, odd, a = scratch(0, m + 1), scratch(1, m), scratch(2, m + 1)
-    pos, neg = src[:, m + 1 :], src[:, m - 1 :: -1]  # t = 1..hi and -1..-m
-    # plane by plane: over both planes of a complex array's view, whose plane
-    # axis has the smallest stride, a ufunc would loop innermost across planes
-    for p in range(2):
-        even[p, 0] = src[p, m]
-        np.add(neg[p, :hi], pos[p], out=even[p, 1 : hi + 1])
-        np.subtract(neg[p, :hi], pos[p], out=odd[p, :hi])
-        even[p, hi + 1 :] = odd[p, hi:] = neg[p, hi:]
-    np.matmul(cos_t, even, out=a)
-    b = np.matmul(sin_t, odd, out=scratch(0, m))  # over the spent even half
+    for c in range(0, k, BLOCK):
+        block = planes[:, :, c : c + BLOCK]
+        kb = block.shape[2]
+        even, odd, a = scratch(0, m + 1, kb), scratch(1, m, kb), scratch(2, m + 1, kb)
+        # t = 1..hi and -1..-m as read, and f the same as written
+        pos, neg = block[:, m + 1 :], block[:, m - 1 :: -1]
+        # plane by plane: over both planes of a complex array's view, whose
+        # plane axis has the smallest stride, a ufunc would loop innermost
+        # across planes
+        for p in range(2):
+            even[p, 0] = block[p, m]
+            np.add(neg[p, :hi], pos[p], out=even[p, 1 : hi + 1])
+            np.subtract(neg[p, :hi], pos[p], out=odd[p, :hi])
+            even[p, hi + 1 :] = odd[p, hi:] = neg[p, hi:]
+        np.matmul(cos_t, even, out=a)
+        b = np.matmul(sin_t, odd, out=scratch(0, m, kb))  # over the spent even half
 
-    dst[:, m] = a[:, 0]
-    up, down = dst[:, m + 1 :], dst[:, m - 1 :: -1]  # f = 1..hi and -1..-m
-    np.subtract(a[0, 1 : hi + 1], b[1, :hi], out=up[0])
-    np.add(a[1, 1 : hi + 1], b[0, :hi], out=up[1])
-    np.add(a[0, 1:], b[1], out=down[0])
-    np.subtract(a[1, 1:], b[0], out=down[1])
+        block[:, m] = a[:, 0]
+        np.subtract(a[0, 1 : hi + 1], b[1, :hi], out=pos[0])
+        np.add(a[1, 1 : hi + 1], b[0, :hi], out=pos[1])
+        np.add(a[0, 1:], b[1], out=neg[0])
+        np.subtract(a[1, 1:], b[0], out=neg[1])
 
 
-def far_field(field: ComplexFieldGrid) -> ComplexFieldGrid:
+def far_field(field: ComplexFieldGrid, *, _in_place: bool = False) -> ComplexFieldGrid:
     """Field in the rear focal plane of an ideal lens (Fraunhofer mapping).
 
     The source sits in an empty aperture of N_pad = OVERSAMPLE*N points per
@@ -230,27 +247,36 @@ def far_field(field: ComplexFieldGrid) -> ComplexFieldGrid:
     costs O(OVERSAMPLE^2*nx*ny*log(...)) and throws away all but
     1/OVERSAMPLE^2 of its output. The result equals the centred FFT of the
     zero-padded source, cropped, to rounding.
+
+    Both passes run in place on the output, BLOCK columns at a time, so the
+    scratch besides the tables is 6*(n/2 + 1)*BLOCK floats: 1.6 MB at 512^2,
+    against 6.3 MB for whole-frame passes. The source is copied once into
+    the output; with _in_place=True, for a caller in this package that has
+    just made field and holds it nowhere else (cascade.observed_sideband),
+    field's own samples are transformed and no longer hold the source.
     """
     spec = field.spec
     npx, npy = OVERSAMPLE * spec.nx, OVERSAMPLE * spec.ny
     lam_f = npx * spec.dx**2
     cos_y, sin_y = _dft_tables(spec.ny, npy)
     cos_x, sin_x = (cos_y, sin_y) if npx == npy else _dft_tables(spec.nx, npx)
-    transformed = np.empty((spec.ny, spec.nx), np.complex128)
+    if _in_place:
+        transformed = field.values
+        transformed.setflags(write=True)
+    else:
+        transformed = field.values.copy()
     planes = _planes(transformed)
-    _folded_dft(_planes(field.values), planes, cos_y, sin_y)
+    _folded_dft(planes, cos_y, sin_y)
     # the scale rides in the x tables, scaled in place once the y pass is done
     cos_x *= spec.cell_area / lam_f
     sin_x *= spec.cell_area / lam_f
-    along_x = planes.transpose(0, 2, 1)  # transformed in place
-    _folded_dft(along_x, along_x, cos_x, sin_x)
+    _folded_dft(planes.transpose(0, 2, 1), cos_x, sin_x)
     out_spec = GridSpec(
         nx=spec.nx,
         ny=spec.ny,
         dx=lam_f / (npx * spec.dx),
         dy=lam_f / (npy * spec.dy),
     )
-    # transformed is held nowhere else
     return ComplexFieldGrid(out_spec, field.wavelength, transformed, _adopt=True)
 
 

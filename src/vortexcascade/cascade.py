@@ -174,12 +174,12 @@ def spatial_sideband(
     ladder frequency derived from the input wavelengths.
 
     The product is built in place in the two scaled copies of the inputs,
-    with one magnitude buffer for the sums. Each step is the elementwise
-    operation that p_hat**a * conj(s_hat)**b / sqrt(power) (or its Stokes
-    mirror) performs, so the result equals that expression bit for bit. The
-    powers use the **= operator, which takes numpy's fast paths for small
-    exponents as ** does; np.power(x, n, out=x) does not, and can differ in
-    the last bit.
+    with one magnitude buffer for the sums, and the result keeps it. Each
+    step is the elementwise operation that p_hat**a * conj(s_hat)**b /
+    sqrt(power) (or its Stokes mirror) performs, so the result equals that
+    expression bit for bit. The powers use the **= operator, which takes
+    numpy's fast paths for small exponents as ** does; np.power(x, n, out=x)
+    does not, and can differ in the last bit.
     """
     if pump_field.spec != stokes_field.spec:
         raise GridMismatchError(
@@ -189,25 +189,28 @@ def spatial_sideband(
     omega = _ladder_frequency_from_fields(pump_field, stokes_field, k)
     # unit peak keeps high powers of the fields away from float overflow;
     # the final normalization makes the scaling choice irrelevant
-    p_hat = pump_field.values / max(float(np.abs(pump_field.values).max()), 1e-300)
-    s_hat = stokes_field.values / max(float(np.abs(stokes_field.values).max()), 1e-300)
+    p_hat = pump_field.values / max(pump_field.peak, 1e-300)
+    s_hat = stokes_field.values / max(stokes_field.peak, 1e-300)
     if k >= 1:
         a, b = k, k - 1
         np.conj(s_hat, out=s_hat)
     else:
         a, b = -k, 1 - k
         np.conj(p_hat, out=p_hat)
-    area = pump_field.spec.cell_area
-    # Scale-free overlap: Cauchy-Schwarz ratio of the two factor magnitudes;
-    # 1 when the pump and Stokes intensities coincide, ~0 when disjoint.
-    magnitude = np.abs(p_hat)
-    magnitude **= 4 * a
-    pump_sq = float(np.sum(magnitude)) * area
-    np.abs(s_hat, out=magnitude)
-    magnitude **= 4 * b
-    stokes_sq = float(np.sum(magnitude)) * area
     p_hat **= a
     s_hat **= b
+    area = pump_field.spec.cell_area
+    # Scale-free overlap: Cauchy-Schwarz ratio of the two factor magnitudes;
+    # 1 when the pump and Stokes intensities coincide, ~0 when disjoint. Each
+    # sum of |factor|**4 squares the powered factor's magnitude twice.
+    magnitude = np.abs(p_hat)
+    magnitude **= 2
+    magnitude **= 2
+    pump_sq = float(np.sum(magnitude)) * area
+    np.abs(s_hat, out=magnitude)
+    magnitude **= 2
+    magnitude **= 2
+    stokes_sq = float(np.sum(magnitude)) * area
     product = p_hat
     product *= s_hat
     np.abs(product, out=magnitude)
@@ -220,7 +223,7 @@ def spatial_sideband(
             f"(overlap measure {overlap:.2e})"
         )
     product /= math.sqrt(power)
-    return ComplexFieldGrid(pump_field.spec, wavelength_from_omega(omega), product)
+    return ComplexFieldGrid(pump_field.spec, wavelength_from_omega(omega), product, _adopt=True)
 
 
 def observed_sideband(
@@ -246,8 +249,9 @@ def observed_sideband(
     its partner's; interferometry.analyze_order_panel shares it that way
     within each pair of orders.
     """
+    # the product is held nowhere else, so far_field transforms it in place
     product = spatial_sideband(pump_field, stokes_field, label)
-    return far_field(product)
+    return far_field(product, _in_place=True)
 
 
 def mirrored_sideband(

@@ -101,6 +101,11 @@ class ComplexFieldGrid:
     def power(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2)) * self.spec.cell_area
 
+    @cached_property
+    def peak(self) -> float:
+        """max |u|, computed once: the samples never change."""
+        return float(np.abs(self.values).max())
+
     def intensity(self) -> np.ndarray:
         return np.abs(self.values) ** 2
 

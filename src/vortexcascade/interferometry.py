@@ -168,20 +168,24 @@ def synthesize_interferogram(
         )
     spec = vortex.spec
     lam = vortex.wavelength
-    ref = reference.values
-    shift = int(round(offset_y / spec.dy))
-    if shift != 0:
-        ref = np.roll(ref, shift, axis=0)
-    if tilt != 0.0:
-        k = 2.0 * math.pi / lam
-        ref = ref * np.exp(1j * k * tilt * spec.x)[None, :]
-    total = vortex.values + ref
+    k = 2.0 * math.pi / lam
+    # the tilted, rolled reference plus the vortex, built in one array: row i
+    # of the roll is row i - shift of the reference (exp(0j) is 1 exactly)
+    ramp = np.exp(1j * k * tilt * spec.x)
+    shift = int(round(offset_y / spec.dy)) % spec.ny
+    total = np.empty_like(vortex.values)
+    np.multiply(reference.values[: spec.ny - shift], ramp, out=total[shift:])
+    np.multiply(reference.values[spec.ny - shift :], ramp, out=total[:shift])
+    total += vortex.values
+    intensity = np.abs(total)
+    intensity **= 2
     return Interferogram(
         spec=spec,
-        intensity=np.abs(total) ** 2,
+        intensity=intensity,
         carrier=(tilt, 0.0),
         wavelength=lam,
         label=label,
+        adopt=True,
     )
 
 
@@ -194,8 +198,11 @@ def add_intensity_noise(
     if fraction == 0.0:
         return gram
     sigma = fraction * float(np.max(gram.intensity))
-    noisy = gram.intensity + sigma * rng.standard_normal(gram.intensity.shape)
-    return replace(gram, intensity=np.maximum(noisy, 0.0))
+    noisy = rng.standard_normal(gram.intensity.shape)
+    noisy *= sigma
+    noisy += gram.intensity
+    np.maximum(noisy, 0.0, out=noisy)
+    return replace(gram, intensity=noisy, adopt=True)
 
 
 def _below_tenfold_median(peak: float, values: np.ndarray) -> bool:
@@ -667,13 +674,16 @@ def analyze_order_panel(
             gram = synthesize_interferogram(
                 vortex, reference, tilt, geometry.offset_y, label=label
             )
+            beam_intensity = vortex.intensity()
+            # the fields are not needed past here (a partner's stays in shared)
+            del vortex, reference
             rng = np.random.default_rng((geometry.seed, label.k + 10_000))
             gram = add_intensity_noise(gram, geometry.noise_fraction, rng)
             return OrderResult(
                 label=label,
                 status="ok",
                 reading=extract_charge(gram),
-                beam_intensity=vortex.intensity(),
+                beam_intensity=beam_intensity,
                 fork_intensity=gram.intensity,
             )
         except (VortexCascadeError, ValueError) as exc:

@@ -15,6 +15,7 @@ from vortexcascade import (
     build_comb,
     cascade_phase_recursion,
     conservation_check,
+    far_field,
     lg_mode_field,
     observed_sideband,
     ring_radius,
@@ -242,6 +243,20 @@ class TestSourceMatchesOracle:
             assert np.array_equal(out.values.view(np.uint64), expected.view(np.uint64)), k
             for seed, before in zip((pump, stokes), inputs):
                 assert np.array_equal(seed.values.view(np.uint64), before.view(np.uint64)), k
+
+    @pytest.mark.parametrize("ell_p,ell_s", [(1, -1), (1, None)])
+    def test_observed_is_far_field_of_source(self, ell_p, ell_s):
+        # observed_sideband has far_field transform its fresh source in place;
+        # a public far_field call copies the source first, then runs the same code
+        pump, stokes = self.seeds(256, ell_p, ell_s)
+        for k in range(-2, 4):
+            label = SidebandLabel(k)
+            got = observed_sideband(pump, stokes, label)
+            expect = far_field(spatial_sideband(pump, stokes, label))
+            assert (got.spec, got.wavelength) == (expect.spec, expect.wavelength), k
+            rel = np.max(np.abs(got.values - expect.values)) / np.max(np.abs(expect.values))
+            assert rel <= 1e-15, (k, rel)
+            assert not got.values.flags.writeable, k
 
     def test_disjoint_beams_refused_with_oracle_message(self):
         pump, stokes = self.seeds(256, 0, 0)

@@ -1,6 +1,7 @@
 """Fork interferogram synthesis and automated charge readout."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -438,8 +439,8 @@ class TestDemodulate:
         carrier = (bins[0] * WL / spec.extent_x, bins[1] * WL / spec.extent_y)
         D, i_lp, coarse = _demodulate(gram, carrier)
         assert (coarse.ny, coarse.nx) == m
-        assert coarse.dx == pytest.approx(spec.dx * nx / m[1], rel=1e-15)
-        assert coarse.dy == pytest.approx(spec.dy * ny / m[0], rel=1e-15)
+        assert coarse.dx == pytest.approx(spec.dx * nx / m[1], rel=1e-15, abs=0.0)
+        assert coarse.dy == pytest.approx(spec.dy * ny / m[0], rel=1e-15, abs=0.0)
         rows = coarse.y / spec.dy + ny // 2
         cols = coarse.x / spec.dx + nx // 2
         D_ref, i_ref = full_frame_demodulate(gram, carrier, rows, cols)
@@ -947,6 +948,26 @@ class TestOrderPanel:
         results = analyze_order_panel(panel_config(1, -1), geometry, ORDERS)
         for r in results:
             assert r.status.startswith("error: noise fraction must be non-negative"), r.label
+
+    def test_panel_holds_one_order_working_set(self):
+        # a sink that drops the images leaves the three seeds, one order's
+        # two fields and its interferogram's work: under 7 arrays the size of
+        # a complex field (16 bytes a sample), counted after a warm-up panel
+        geometry = self.geometry(noise_fraction=0.03, seed=7)
+
+        def drop(res):
+            return replace(res, beam_intensity=None, fork_intensity=None)
+
+        analyze_order_panel(panel_config(1, -1), geometry, ORDERS, sink=drop)
+        tracemalloc.start()
+        try:
+            results = analyze_order_panel(panel_config(1, -1), geometry, ORDERS, sink=drop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.reading.ell for r in results] == [5, 3, 1, -1, -3, -5]
+        fields = peak / (16 * 256**2)
+        assert fields <= 7.0, f"peak of {fields:.2f} field-sized arrays"
 
     def test_results_preserve_requested_order_and_images(self):
         results = analyze_order_panel(panel_config(1, -1), self.geometry(), ORDERS)

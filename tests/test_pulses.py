@@ -137,12 +137,12 @@ class TestBeatFrequency:
     def test_matching_delay_recovers_raman_frequency(self):
         pair = matched_pair()
         assert beat_frequency(pair) == OMEGA_R
-        assert pair.t_d == pytest.approx(OMEGA_R / CHIRP_B)
+        assert pair.t_d == pytest.approx(OMEGA_R / CHIRP_B, abs=0.0)
 
     def test_raman_frequency_and_period_values(self):
         assert OMEGA_R / (2.0 * math.pi) == pytest.approx(9.594e12, rel=1e-4)
-        assert 2.0 * math.pi / OMEGA_R == pytest.approx(104.2e-15, rel=1e-3)
-        assert 2.0 * math.pi / OMEGA_R == pytest.approx(RAMAN_PERIOD, rel=1e-3)
+        assert 2.0 * math.pi / OMEGA_R == pytest.approx(104.2e-15, rel=1e-3, abs=0.0)
+        assert 2.0 * math.pi / OMEGA_R == pytest.approx(RAMAN_PERIOD, rel=1e-3, abs=0.0)
 
     @given(
         st.floats(min_value=1e24, max_value=1e28),
@@ -175,7 +175,7 @@ class TestChirpedPairField:
         pair = matched_pair()
         grid = pair_grid(pair)
         intensity = np.abs(chirped_pair_field(pair, grid)) ** 2
-        assert train_period(intensity, grid.dt) == pytest.approx(RAMAN_PERIOD, rel=0.01)
+        assert train_period(intensity, grid.dt) == pytest.approx(RAMAN_PERIOD, rel=0.01, abs=0.0)
 
     def test_intensity_equals_complex_exponential_form(self):
         # oracle: each pulse as envelope * exp(1j * phase), bit for bit
@@ -356,7 +356,8 @@ class TestTrainPeriod:
         omega = 2.0 * math.pi * 5e12
         grid = TimeGrid(8192, 2.0e-15)
         series = 1.0 + np.cos(omega * grid.times)
-        assert train_period(series, grid.dt) == pytest.approx(2.0 * math.pi / omega, rel=0.005)
+        expect = 2.0 * math.pi / omega
+        assert train_period(series, grid.dt) == pytest.approx(expect, rel=0.005, abs=0.0)
 
     @pytest.mark.parametrize("nt", [4096, 16384, 65536])
     def test_cosine_of_non_integer_period(self, nt):
