@@ -173,13 +173,16 @@ def spatial_sideband(
     ladder rule. The result is normalized to unit power and tagged with the
     ladder frequency derived from the input wavelengths.
 
-    The product is built in place in the two scaled copies of the inputs,
-    with one magnitude buffer for the sums, and the result keeps it. Each
-    step is the elementwise operation that p_hat**a * conj(s_hat)**b /
-    sqrt(power) (or its Stokes mirror) performs, so the result equals that
-    expression bit for bit. The powers use the **= operator, which takes
-    numpy's fast paths for small exponents as ** does; np.power(x, n, out=x)
-    does not, and can differ in the last bit.
+    The product is built in place in the result's array: it holds p_hat**a,
+    and the other factor, scaled, conjugated and powered, is multiplied in
+    one row block (GridSpec.row_blocks) at a time, so that factor is never
+    whole. Each step is the elementwise operation that p_hat**a *
+    conj(s_hat)**b / sqrt(power) (or its Stokes mirror) performs, and power
+    is one sum over the whole product, so the result equals that expression
+    bit for bit. The overlap guard's two sums of |factor|**4 are taken per
+    block; they only set the refusal threshold. The powers use the **=
+    operator, which takes numpy's fast paths for small exponents as ** does;
+    np.power(x, n, out=x) does not, and can differ in the last bit.
     """
     if pump_field.spec != stokes_field.spec:
         raise GridMismatchError(
@@ -189,31 +192,38 @@ def spatial_sideband(
     omega = _ladder_frequency_from_fields(pump_field, stokes_field, k)
     # unit peak keeps high powers of the fields away from float overflow;
     # the final normalization makes the scaling choice irrelevant
-    p_hat = pump_field.values / max(pump_field.peak, 1e-300)
-    s_hat = stokes_field.values / max(stokes_field.peak, 1e-300)
+    product = pump_field.values / max(pump_field.peak, 1e-300)
+    s_peak = max(stokes_field.peak, 1e-300)
     if k >= 1:
         a, b = k, k - 1
-        np.conj(s_hat, out=s_hat)
     else:
         a, b = -k, 1 - k
-        np.conj(p_hat, out=p_hat)
-    p_hat **= a
-    s_hat **= b
-    area = pump_field.spec.cell_area
+        np.conj(product, out=product)
+    product **= a
+
+    def fourth_power_sum(factor: np.ndarray) -> float:
+        # squares the powered factor's magnitude twice
+        magnitude = np.abs(factor)
+        magnitude **= 2
+        magnitude **= 2
+        return float(np.sum(magnitude))
+
     # Scale-free overlap: Cauchy-Schwarz ratio of the two factor magnitudes;
-    # 1 when the pump and Stokes intensities coincide, ~0 when disjoint. Each
-    # sum of |factor|**4 squares the powered factor's magnitude twice.
-    magnitude = np.abs(p_hat)
-    magnitude **= 2
-    magnitude **= 2
-    pump_sq = float(np.sum(magnitude)) * area
-    np.abs(s_hat, out=magnitude)
-    magnitude **= 2
-    magnitude **= 2
-    stokes_sq = float(np.sum(magnitude)) * area
-    product = p_hat
-    product *= s_hat
-    np.abs(product, out=magnitude)
+    # 1 when the pump and Stokes intensities coincide, ~0 when disjoint.
+    pump_sq = stokes_sq = 0.0
+    for rows in pump_field.spec.row_blocks():
+        s_hat = stokes_field.values[rows] / s_peak
+        if k >= 1:
+            np.conj(s_hat, out=s_hat)
+        s_hat **= b
+        block = product[rows]
+        pump_sq += fourth_power_sum(block)
+        stokes_sq += fourth_power_sum(s_hat)
+        block *= s_hat
+    area = pump_field.spec.cell_area
+    pump_sq *= area
+    stokes_sq *= area
+    magnitude = np.abs(product)
     magnitude **= 2
     power = float(np.sum(magnitude)) * area
     overlap = power / max(math.sqrt(pump_sq * stokes_sq), 1e-300)

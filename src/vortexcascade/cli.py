@@ -11,6 +11,8 @@ failure, 2 configuration/validation failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -329,7 +331,29 @@ def _check_out(outdir: Path) -> None:
             raise ConfigError(f"--out {outdir}: {path} exists and is not a directory")
 
 
+@functools.cache
+def keep_freed_heap() -> None:
+    """Have glibc keep the heap this process frees, once per process.
+
+    By default glibc returns freed heap to the system and maps each large
+    array afresh, so every frame of a batch faults its pages in again. Here
+    arrays under 32 MiB come from the heap, and up to 64 MiB of free heap
+    top is kept for the next command. Where libc.so.6 or its mallopt is
+    missing, nothing is done. main calls this, not the import, so a program
+    that only imports the package keeps its own allocator settings.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD (malloc.h)
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: list[str] | None = None) -> int:
+    keep_freed_heap()
     if argv is None:
         argv = sys.argv[1:]
     # a command named first is the only subcommand the parser needs; anything

@@ -14,6 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
+# a row-block pass splits a frame into this many runs of rows
+ROW_BLOCKS = 16
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -53,6 +56,11 @@ class GridSpec:
     @cached_property
     def y(self) -> np.ndarray:
         return (np.arange(self.ny) - self.ny // 2) * self.dy
+
+    def row_blocks(self) -> list[slice]:
+        """The rows in runs of ceil(ny/ROW_BLOCKS), the last possibly shorter."""
+        step = -(-self.ny // ROW_BLOCKS)
+        return [slice(r, min(r + step, self.ny)) for r in range(0, self.ny, step)]
 
     def azimuth(self) -> np.ndarray:
         """Polar angle in [0, 2*pi), counterclockwise from +x, shape (ny, nx)."""

@@ -129,8 +129,12 @@ class Interferogram:
 
         The intensity is real, so this half holds the whole spectrum
         (F(-k) = conj(F(k))); carrier detection and demodulation share it.
+        It is made as np.fft.rfft2 makes it, an rfft along x and then an fft
+        along y, but the y pass runs in place on the x pass's output (out=):
+        one array instead of two, with rfft2's bits.
         """
-        return np.fft.rfft2(self.intensity)
+        half = np.fft.rfft(self.intensity, axis=1)
+        return np.fft.fft(half, axis=0, out=half)
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,10 @@ def synthesize_interferogram(
     tilt at the Nyquist angle (AliasingError). The vertical offset rolls the
     reference by whole samples (tails wrap; keep offsets small against the
     aperture).
+
+    The intensity is written one row block (GridSpec.row_blocks) at a time,
+    so the complex sum is never held whole; each sample is the one the
+    whole-frame expression gives, bit for bit.
     """
     if vortex.spec != reference.spec:
         raise GridMismatchError("vortex and reference grids differ")
@@ -169,16 +177,19 @@ def synthesize_interferogram(
     spec = vortex.spec
     lam = vortex.wavelength
     k = 2.0 * math.pi / lam
-    # the tilted, rolled reference plus the vortex, built in one array: row i
-    # of the roll is row i - shift of the reference (exp(0j) is 1 exactly)
+    # the tilted, rolled reference plus the vortex, block by block: row i of
+    # the roll is row i - shift of the reference (exp(0j) is 1 exactly)
     ramp = np.exp(1j * k * tilt * spec.x)
     shift = int(round(offset_y / spec.dy)) % spec.ny
-    total = np.empty_like(vortex.values)
-    np.multiply(reference.values[: spec.ny - shift], ramp, out=total[shift:])
-    np.multiply(reference.values[spec.ny - shift :], ramp, out=total[:shift])
-    total += vortex.values
-    intensity = np.abs(total)
-    intensity **= 2
+    rolled = (np.arange(spec.ny) - shift) % spec.ny
+    intensity = np.empty((spec.ny, spec.nx))
+    for rows in spec.row_blocks():
+        total = reference.values[rolled[rows]]  # a copy: indexed by an array
+        total *= ramp
+        total += vortex.values[rows]
+        block = intensity[rows]
+        np.abs(total, out=block)
+        block **= 2
     return Interferogram(
         spec=spec,
         intensity=intensity,

@@ -37,7 +37,10 @@ def write_pgm16(path, intensity: np.ndarray) -> None:
 
 
 def read_pgm16(path) -> np.ndarray:
-    """Read a binary PGM into a float array scaled to [0, 1]."""
+    """Read a binary PGM into a float array scaled to [0, 1].
+
+    The decoded frame is divided by maxval in place: the one float array.
+    """
     raw = Path(path).read_bytes()
     if not raw.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM (P5) file")
@@ -60,4 +63,6 @@ def read_pgm16(path) -> np.ndarray:
     if len(raw) < pos + count * dtype.itemsize:  # np.frombuffer's own error names no file
         raise ValueError(f"{path}: truncated pixel data")
     data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
-    return data.reshape(ny, nx).astype(np.float64) / float(maxval)
+    frame = data.reshape(ny, nx).astype(np.float64)
+    frame /= float(maxval)
+    return frame

@@ -244,6 +244,20 @@ class TestSourceMatchesOracle:
             for seed, before in zip((pump, stokes), inputs):
                 assert np.array_equal(seed.values.view(np.uint64), before.view(np.uint64)), k
 
+    def test_bits_equal_oracle_with_a_short_last_row_block(self):
+        # 100 rows go in blocks of 7, the last one of 2
+        spec = GridSpec(nx=96, ny=100, dx=64e-6, dy=64e-6)
+        assert [r.stop - r.start for r in spec.row_blocks()][-2:] == [7, 2]
+        lam_p = wavelength_from_omega(make_config().omega_p)
+        lam_s = wavelength_from_omega(make_config().omega_s)
+        pump = lg_mode_field(LGModeIndex(0, 1), BeamParams(0.8e-3, lam_p), spec)
+        stokes = lg_mode_field(LGModeIndex(0, -2), BeamParams(0.8e-3, lam_s), spec)
+        for k in range(-3, 5):
+            label = SidebandLabel(k)
+            out = spatial_sideband(pump, stokes, label)
+            expected = spatial_sideband_oracle(pump, stokes, label)
+            assert np.array_equal(out.values.view(np.uint64), expected.view(np.uint64)), k
+
     @pytest.mark.parametrize("ell_p,ell_s", [(1, -1), (1, None)])
     def test_observed_is_far_field_of_source(self, ell_p, ell_s):
         # observed_sideband has far_field transform its fresh source in place;

@@ -1,11 +1,13 @@
 """Configuration parsing, CLI subcommands, and file formats."""
 
 import argparse
+import ctypes
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -386,7 +388,15 @@ class TestFigure3Command:
     def test_default_panel_holds_one_order_at_a_time(self, tmp_path):
         # 512², 6 orders: before images were written as each pair finished,
         # every order's beam and fork (4 MB per order) stayed alive until the
-        # whole panel was read, and the peak was 64-67 MB
+        # whole panel was read, and the peak was 64-67 MB. After a warm-up
+        # panel (a 64² one suffices) it is 6.01 arrays the size of a complex
+        # field (16 bytes a sample; 6.58 with whole-frame sideband factors,
+        # interferogram sums and spectra). The quarter-array margin is under
+        # the smallest frame-sized array, a real 512² frame (half a field),
+        # so the bound fails on one more frame held at the peak, whether the
+        # package or numpy holds it, and not on small-object drift
+        warm_up = ["--set", "grid_n=64", "--set", "grid_pitch_um=100"]
+        assert main(["figure3", *warm_up, "--out", str(tmp_path / "warm-up")]) == 0
         tracemalloc.start()
         try:
             code = main(["figure3", "--set", "noise=0.03", "--out", str(tmp_path)])
@@ -394,7 +404,8 @@ class TestFigure3Command:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= 48e6, f"peak {peak / 1e6:.1f} MB"
+        fields = peak / (16 * 512**2)
+        assert fields <= 6.25, f"peak of {fields:.2f} field-sized arrays"
 
 
 class TestPulseCommand:
@@ -764,3 +775,65 @@ class TestImport:
             check=True,
         )
         assert proc.stdout.splitlines()[-1] == "0 1 1 False"
+
+
+class TestAllocatorPolicy:
+    """cli.main has glibc keep freed heap: at its first call, not at import."""
+
+    @pytest.fixture
+    def fresh_policy(self):
+        cli.keep_freed_heap.cache_clear()
+        yield
+        cli.keep_freed_heap.cache_clear()
+
+    def test_applied_by_the_first_main_not_by_import(self, tmp_path):
+        src = str(Path(vortexcascade.__file__).resolve().parents[1])
+        code = (
+            "import ctypes; opened = []; real = ctypes.CDLL\n"
+            "def record(name, *a, **k):\n"
+            "    opened.append(name)\n"
+            "    return real(name, *a, **k)\n"
+            "ctypes.CDLL = record\n"
+            "import vortexcascade.cli as cli\n"
+            "print(opened.count('libc.so.6'), cli.keep_freed_heap.cache_info().misses)\n"
+            f"code = cli.main(['comb', '--out', {str(tmp_path)!r}])\n"
+            "print(opened.count('libc.so.6'), cli.keep_freed_heap.cache_info().misses, code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert proc.stdout.splitlines()[0] == "0 0"
+        assert proc.stdout.splitlines()[-1] == "1 1 0"
+
+    def test_mallopt_called_once_per_process(self, fresh_policy, monkeypatch, tmp_path):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        libc = types.SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        assert main(["comb", "--out", str(tmp_path)]) == 0
+        assert main(["comb", "--out", str(tmp_path)]) == 0
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+        assert libc.mallopt.argtypes == [ctypes.c_int, ctypes.c_int]
+
+    @pytest.mark.parametrize("missing", ["libc", "mallopt"])
+    def test_runs_without_mallopt(self, missing, fresh_policy, monkeypatch, tmp_path):
+        assert main(["comb", "--out", str(tmp_path / "with")]) == 0
+
+        def no_libc(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        stand_in = no_libc if missing == "libc" else (lambda name: types.SimpleNamespace())
+        cli.keep_freed_heap.cache_clear()
+        monkeypatch.setattr(cli.ctypes, "CDLL", stand_in)
+        assert main(["comb", "--out", str(tmp_path / "without")]) == 0
+        written = (tmp_path / "without" / "comb.csv").read_bytes()
+        assert written == (tmp_path / "with" / "comb.csv").read_bytes()

@@ -875,6 +875,32 @@ class TestGaussianFilter:
         assert np.max(np.abs(_gaussian_filter(a, sigma) - expect)) <= 1e-14
 
 
+class TestWholeFrameBits:
+    """The row-block interferogram and the one-array half spectrum keep the
+    bits of the whole-frame expressions, here with a short last row block."""
+
+    def gram(self, offset_rows=0):
+        spec = GridSpec(nx=96, ny=100, dx=PITCH, dy=PITCH)  # row blocks of 7, then 2
+        beam = BeamParams(waist_w0=0.6e-3, wavelength=WL)
+        vortex = lg_mode_field(LGModeIndex(0, 3), beam, spec)
+        reference = lg_mode_field(LGModeIndex(0, 0), beam, spec)
+        tilt = 24 * WL / (spec.nx * PITCH)
+        gram = synthesize_interferogram(vortex, reference, tilt, offset_rows * PITCH)
+        ramp = np.exp(1j * (2.0 * math.pi / WL) * tilt * spec.x)
+        total = np.roll(reference.values, offset_rows, axis=0) * ramp + vortex.values
+        return gram, np.abs(total) ** 2
+
+    @pytest.mark.parametrize("offset_rows", [0, 3, -5])
+    def test_intensity_equals_whole_frame_sum(self, offset_rows):
+        gram, expected = self.gram(offset_rows)
+        assert np.array_equal(gram.intensity.view(np.uint64), expected.view(np.uint64))
+
+    def test_half_spectrum_equals_rfft2(self):
+        gram, _ = self.gram()
+        expected = np.fft.rfft2(gram.intensity)
+        assert np.array_equal(gram.half_spectrum.view(np.uint64), expected.view(np.uint64))
+
+
 class TestFringeVisibility:
     # the visibility of plane-wave fringes, read from the demodulated field
     def test_equal_amplitudes_unity(self):
@@ -951,8 +977,10 @@ class TestOrderPanel:
 
     def test_panel_holds_one_order_working_set(self):
         # a sink that drops the images leaves the three seeds, one order's
-        # two fields and its interferogram's work: under 7 arrays the size of
-        # a complex field (16 bytes a sample), counted after a warm-up panel
+        # two fields and its interferogram's work: under 6.3 arrays the size
+        # of a complex field (16 bytes a sample), counted after a warm-up
+        # panel (6.21 measured; 6.58 with whole-frame sideband factors,
+        # interferogram sums and spectra)
         geometry = self.geometry(noise_fraction=0.03, seed=7)
 
         def drop(res):
@@ -967,7 +995,7 @@ class TestOrderPanel:
             tracemalloc.stop()
         assert [r.reading.ell for r in results] == [5, 3, 1, -1, -3, -5]
         fields = peak / (16 * 256**2)
-        assert fields <= 7.0, f"peak of {fields:.2f} field-sized arrays"
+        assert fields <= 6.3, f"peak of {fields:.2f} field-sized arrays"
 
     def test_results_preserve_requested_order_and_images(self):
         results = analyze_order_panel(panel_config(1, -1), self.geometry(), ORDERS)
