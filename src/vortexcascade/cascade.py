@@ -95,19 +95,25 @@ class RamanConfig:
                 stacklevel=2,
             )
 
-    @property
-    def delta_omega(self) -> float:
-        return self.omega_p - self.omega_s
 
-
-def sideband_frequency(cfg: RamanConfig, label: SidebandLabel) -> float:
-    """Closed-form ladder frequency omega_s + k*(omega_p - omega_s)."""
-    omega = cfg.omega_s + label.k * cfg.delta_omega
+def _on_ladder(omega: float, label: SidebandLabel) -> float:
+    """omega, label's frequency, where it is positive; the one refusal of an
+    order past the ladder's low end."""
     if omega <= 0:
         raise NegativeFrequencyError(
             f"{label} would sit at {omega:g} rad/s; the ladder ends before it"
         )
     return omega
+
+
+def _ladder_frequency(omega_p: float, omega_s: float, label: SidebandLabel) -> float:
+    """The ladder rule omega_s + k*(omega_p - omega_s), refused past the low end."""
+    return _on_ladder(omega_s + label.k * (omega_p - omega_s), label)
+
+
+def sideband_frequency(cfg: RamanConfig, label: SidebandLabel) -> float:
+    """Closed-form ladder frequency omega_s + k*(omega_p - omega_s)."""
+    return _ladder_frequency(cfg.omega_p, cfg.omega_s, label)
 
 
 def sideband_charge(cfg: RamanConfig, label: SidebandLabel) -> int:
@@ -133,11 +139,7 @@ def cascade_phase_recursion(cfg: RamanConfig, label: SidebandLabel) -> tuple[flo
         for _ in range(-k):
             a, b = a - 1, b + 1
     omega = a * cfg.omega_p + b * cfg.omega_s
-    if omega <= 0:
-        raise NegativeFrequencyError(
-            f"{label} would sit at {omega:g} rad/s; the ladder ends before it"
-        )
-    return omega, a * cfg.ell_p + b * cfg.ell_s
+    return _on_ladder(omega, label), a * cfg.ell_p + b * cfg.ell_s
 
 
 def conservation_check(cfg: RamanConfig, n: int) -> bool:
@@ -146,19 +148,6 @@ def conservation_check(cfg: RamanConfig, n: int) -> bool:
         raise ValueError(f"order must be >= 1, got {n}")
     total = sideband_charge(cfg, SidebandLabel(-n)) + sideband_charge(cfg, SidebandLabel(n + 1))
     return total == cfg.ell_s + cfg.ell_p
-
-
-def _ladder_frequency_from_fields(
-    pump: ComplexFieldGrid, stokes: ComplexFieldGrid, k: int
-) -> float:
-    omega_p = omega_from_wavelength(pump.wavelength)
-    omega_s = omega_from_wavelength(stokes.wavelength)
-    omega = omega_s + k * (omega_p - omega_s)
-    if omega <= 0:
-        raise NegativeFrequencyError(
-            f"ladder index {k} reaches {omega:g} rad/s for these input colors"
-        )
-    return omega
 
 
 def spatial_sideband(
@@ -189,7 +178,11 @@ def spatial_sideband(
             f"pump grid {pump_field.spec} != stokes grid {stokes_field.spec}"
         )
     k = label.k
-    omega = _ladder_frequency_from_fields(pump_field, stokes_field, k)
+    omega = _ladder_frequency(
+        omega_from_wavelength(pump_field.wavelength),
+        omega_from_wavelength(stokes_field.wavelength),
+        label,
+    )
     # unit peak keeps high powers of the fields away from float overflow;
     # the final normalization makes the scaling choice irrelevant
     product = pump_field.values / max(pump_field.peak, 1e-300)
@@ -277,7 +270,11 @@ def mirrored_sideband(
     copy, tagged with label's ladder wavelength (which raises, like
     spatial_sideband, where the ladder ends before label).
     """
-    omega = _ladder_frequency_from_fields(pump_field, stokes_field, label.k)
+    omega = _ladder_frequency(
+        omega_from_wavelength(pump_field.wavelength),
+        omega_from_wavelength(stokes_field.wavelength),
+        label,
+    )
     return partner.with_wavelength(wavelength_from_omega(omega))
 
 

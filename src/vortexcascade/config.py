@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
 
-from .cascade import RamanConfig
+from .cascade import RamanConfig, SidebandLabel, sideband_frequency
 from .elements import crystal_charges
-from .errors import ConfigError
+from .errors import ConfigError, NegativeFrequencyError
 from .grids import GridSpec
 from .pulses import ChirpedPulsePair, TimeGrid, delay_for_beat
 from .units import omega_from_wavelength, omega_from_wavenumber_cm
@@ -94,14 +94,11 @@ class RunConfig:
 
     def __post_init__(self):
         if self.omega_stokes <= 0:
-            raise ConfigError(
-                "raman_shift_cm1 exceeds the pump wavenumber", key="raman_shift_cm1"
-            )
+            raise ConfigError("raman_shift_cm1 exceeds the pump wavenumber")
         if self.fringes is not None and self.fringes >= self.grid_n / 2:
             raise ConfigError(
                 f"fringes {self.fringes:g} puts the carrier at or beyond the Nyquist "
-                f"angle: it must stay below grid_n/2 = {self.grid_n / 2:g}",
-                key="fringes",
+                f"angle: it must stay below grid_n/2 = {self.grid_n / 2:g}"
             )
         # synthesize_interferogram's whole-sample roll of the reference: rolls by
         # s and s - grid_n are one array, so from grid_n/2 on it reads another geometry
@@ -109,14 +106,12 @@ class RunConfig:
         if abs(shift) >= self.grid_n / 2:
             raise ConfigError(
                 f"offset_y_mm {self.offset_y_mm:g} rolls the reference by {shift} samples: "
-                f"the roll must stay under grid_n/2 = {self.grid_n / 2:g}",
-                key="offset_y_mm",
+                f"the roll must stay under grid_n/2 = {self.grid_n / 2:g}"
             )
         if self.waist < 4.0 * (self.grid_pitch_um * 1e-6):  # lg_mode_field's test
             raise ConfigError(
                 f"waist_mm {self.waist_mm:g} is under-resolved: a waist needs at least "
-                f"4 samples, 4*grid_pitch_um = {4.0 * self.grid_pitch_um:g} um",
-                key="waist_mm",
+                f"4 samples, 4*grid_pitch_um = {4.0 * self.grid_pitch_um:g} um"
             )
 
     # -- derived quantities ------------------------------------------------
@@ -170,18 +165,18 @@ class RunConfig:
 
     def pulse_ks(self) -> range:
         """pulse's ladder indices, k = -(n//2) .. -(n//2) + n - 1 for n = pulse_channels;
-        refused, naming the key, where the lowest line's frequency by sideband_frequency's
-        expression is not positive (only pulse asks: comb and figure3 never read the key)."""
+        refused, naming the key, where sideband_frequency refuses the lowest line
+        (only pulse asks: comb and figure3 never read the key)."""
         n = self.pulse_channels
         lowest = -(n // 2)
-        spacing = self.omega_pump - self.omega_stokes
-        if self.omega_stokes + lowest * spacing <= 0:
-            fits = 2 * math.ceil(self.omega_stokes / spacing) - 1
+        try:
+            sideband_frequency(self.raman_config(0, 0), SidebandLabel(lowest))
+        except NegativeFrequencyError as exc:
+            fits = 2 * math.ceil(self.omega_stokes / (self.omega_pump - self.omega_stokes)) - 1
             raise ConfigError(
                 f"S{-lowest} would sit at or below zero frequency, past the ladder's low "
-                f"end: pulse_channels must be at most {fits}, got {n}",
-                key="pulse_channels",
-            )
+                f"end: pulse_channels must be at most {fits}, got {n}"
+            ) from exc
         return range(lowest, lowest + n)
 
     def time_grid(self) -> TimeGrid:
@@ -211,11 +206,11 @@ class RunConfig:
             try:
                 t_d = delay_for_beat(self.chirp_b, self.omega_raman)
             except ValueError as exc:
-                raise ConfigError(f"chirp_b {self.chirp_b:g}: {exc}", key="chirp_b") from exc
+                raise ConfigError(f"chirp_b {self.chirp_b:g}: {exc}") from exc
         elif self.t_d_fs is not None:
             t_d = self.t_d_fs * 1e-15
         else:
-            raise ConfigError("need either t_d_fs or match=true", key="t_d_fs")
+            raise ConfigError("need either t_d_fs or match=true")
         return ChirpedPulsePair(tau=self.tau, b=self.chirp_b, t_d=t_d)
 
 
@@ -231,11 +226,11 @@ def _parse_item(item: str, line: int | None, malformed: str) -> tuple[str, Any]:
     key, _, raw = item.partition("=")
     key = key.strip()
     if key not in _SCHEMA:
-        raise ConfigError(f"unknown key {key!r}", key=key, line=line)
+        raise ConfigError(f"unknown key {key!r}", line=line)
     try:
         value = _SCHEMA[key]["parse"](raw)
     except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad value for {key}: {exc}", key=key, line=line) from exc
+        raise ConfigError(f"bad value for {key}: {exc}", line=line) from exc
     return key, _checked(key, value, line)
 
 
@@ -243,7 +238,7 @@ def _checked(key: str, value: Any, line: int | None) -> Any:
     """value, if it meets the key's invariant; ConfigError naming the key if not."""
     entry = _SCHEMA[key]
     if entry["check"] is not None and not entry["check"](value):
-        raise ConfigError(f"{key} {entry['requirement']}, got {value}", key=key, line=line)
+        raise ConfigError(f"{key} {entry['requirement']}, got {value}", line=line)
     return value
 
 

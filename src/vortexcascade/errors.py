@@ -30,15 +30,11 @@ class NonPeriodicError(VortexCascadeError):
 
 
 class ConfigError(VortexCascadeError):
-    """Invalid run configuration; carries the offending key when known."""
+    """Invalid run configuration; the message names the offending key, and a
+    config file's line number leads it when known."""
 
-    def __init__(self, message, key=None, line=None):
-        prefix = ""
-        if line is not None:
-            prefix = f"line {line}: "
-        super().__init__(prefix + message)
-        self.key = key
-        self.line = line
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class BasisTruncationWarning(UserWarning):

@@ -935,42 +935,45 @@ def panel_config(ell_p, ell_s, max_as=2, max_s=2):
     )
 
 
+def panel_geometry(**kw):
+    # one frame for every panel test, with S2/AS2's focal ring well inside
+    # it, so that no test depends on how a ring near the frame's edge reads
+    return PanelGeometry(spec=GridSpec.square(256, 50e-6), waist=1e-3, **kw)
+
+
 ORDERS = [SidebandLabel(k) for k in (3, 2, 1, 0, -1, -2)]
 # S3's partner AS3 is not requested: its fields stay in its pair's dict
 PARTNERLESS = [SidebandLabel(-3), SidebandLabel(2), SidebandLabel(-1)]
 
 
 class TestOrderPanel:
-    def geometry(self, **kw):
-        return PanelGeometry(spec=GridSpec.square(256, 50e-6), waist=1e-3, **kw)
-
     def test_balanced_arms_read_all_plus_one(self):
-        results = analyze_order_panel(panel_config(1, 1), self.geometry(), ORDERS)
+        results = analyze_order_panel(panel_config(1, 1), panel_geometry(), ORDERS)
         assert [r.reading.ell for r in results] == [1, 1, 1, 1, 1, 1]
 
     def test_unbalanced_arms_read_odd_ladder(self):
-        results = analyze_order_panel(panel_config(1, -1), self.geometry(), ORDERS)
+        results = analyze_order_panel(panel_config(1, -1), panel_geometry(), ORDERS)
         assert [r.reading.ell for r in results] == [5, 3, 1, -1, -3, -5]
 
     def test_zero_charges_read_zero(self):
-        results = analyze_order_panel(panel_config(0, 0), self.geometry(), ORDERS)
+        results = analyze_order_panel(panel_config(0, 0), panel_geometry(), ORDERS)
         assert [r.reading.ell for r in results] == [0, 0, 0, 0, 0, 0]
 
     def test_per_order_errors_do_not_abort_others(self):
         # S39 has negative ladder frequency for these seeds
         orders = [SidebandLabel(2), SidebandLabel(-39)]
-        results = analyze_order_panel(panel_config(1, -1), self.geometry(), orders)
+        results = analyze_order_panel(panel_config(1, -1), panel_geometry(), orders)
         assert results[0].ok and results[0].reading.ell == 3
         assert not results[1].ok
         assert "error" in results[1].status
 
     def test_noise_does_not_break_readings(self):
-        geometry = self.geometry(noise_fraction=0.05, seed=42)
+        geometry = panel_geometry(noise_fraction=0.05, seed=42)
         results = analyze_order_panel(panel_config(1, -1), geometry, ORDERS)
         assert [r.reading.ell for r in results] == [5, 3, 1, -1, -3, -5]
 
     def test_negative_noise_is_an_order_error(self):
-        geometry = self.geometry(noise_fraction=-0.1)
+        geometry = panel_geometry(noise_fraction=-0.1)
         results = analyze_order_panel(panel_config(1, -1), geometry, ORDERS)
         for r in results:
             assert r.status.startswith("error: noise fraction must be non-negative"), r.label
@@ -981,7 +984,7 @@ class TestOrderPanel:
         # of a complex field (16 bytes a sample), counted after a warm-up
         # panel (6.21 measured; 6.58 with whole-frame sideband factors,
         # interferogram sums and spectra)
-        geometry = self.geometry(noise_fraction=0.03, seed=7)
+        geometry = panel_geometry(noise_fraction=0.03, seed=7)
 
         def drop(res):
             return replace(res, beam_intensity=None, fork_intensity=None)
@@ -998,7 +1001,7 @@ class TestOrderPanel:
         assert fields <= 6.3, f"peak of {fields:.2f} field-sized arrays"
 
     def test_results_preserve_requested_order_and_images(self):
-        results = analyze_order_panel(panel_config(1, -1), self.geometry(), ORDERS)
+        results = analyze_order_panel(panel_config(1, -1), panel_geometry(), ORDERS)
         assert [r.label for r in results] == ORDERS
         for r in results:
             assert r.beam_intensity.shape == (256, 256)
@@ -1010,9 +1013,6 @@ class TestOrderPanel:
 
 class TestPanelSink:
     """analyze_order_panel hands each order to a sink as soon as it is read."""
-
-    def geometry(self):
-        return PanelGeometry(spec=GridSpec.square(128, 100e-6), waist=1e-3)
 
     def test_sink_sees_each_order_once_in_pair_order(self):
         # S39 is past the end of the ladder: its error reaches the sink too
@@ -1028,7 +1028,7 @@ class TestPanelSink:
             seen.append(res)
             return summary(res)
 
-        results = analyze_order_panel(panel_config(1, -1), self.geometry(), orders, sink=sink)
+        results = analyze_order_panel(panel_config(1, -1), panel_geometry(), orders, sink=sink)
         assert [str(r.label) for r in seen] == ["S39", "S2", "AS2", "S1", "AS1", "S", "P"]
         assert seen[0].status.startswith("error: ")
         assert all(r.ok and r.beam_intensity is not None for r in seen[1:])
@@ -1043,7 +1043,7 @@ class TestPanelSink:
             returned.append(object())
             return returned[-1]
 
-        results = analyze_order_panel(panel_config(1, 1), self.geometry(), ORDERS, sink=sink)
+        results = analyze_order_panel(panel_config(1, 1), panel_geometry(), ORDERS, sink=sink)
         # ORDERS runs AS2 S2, AS1 S1, P S: pairs in first-seen order
         assert [id(r) for r in results] == [id(returned[i]) for i in (0, 2, 4, 5, 3, 1)]
 
@@ -1055,15 +1055,31 @@ class TestPanelSink:
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
-            analyze_order_panel(panel_config(1, -1), self.geometry(), ORDERS, sink=sink)
+            analyze_order_panel(panel_config(1, -1), panel_geometry(), ORDERS, sink=sink)
         assert calls == [ORDERS[0]]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("overrides", [
+    # a 64-sample frame: all six orders read wrong with status ok, S and P
+    # as +2 at confidence 0.984 and 0.988
+    ["grid_n=64"],
+    # two fringes across the frame: all six read 0 at confidence 0.56-0.68
+    ["grid_n=256", "grid_pitch_um=50", "fringes=2"],
+])
+def test_figure3_panel_never_misreads_confidently(overrides):
+    # each order of figure3's panel is refused, reads its ladder charge, or
+    # says it has no confidence in the reading
+    run = load_config(overrides=overrides)
+    cfg = run.raman_config(default_max_as=2, default_max_s=2)
+    geometry = PanelGeometry(spec=run.grid_spec(), waist=run.waist, fringes=run.fringes)
+    for r in analyze_order_panel(cfg, geometry, ORDERS):
+        assert (not r.ok or r.reading.ell == sideband_charge(cfg, r.label)
+                or r.reading.confidence == 0), r.label
 
 
 class TestMirroredOrdersShareFields:
     """Orders k and 1 - k share one observed field where a set's seeds are one array."""
-
-    def geometry(self, **kw):
-        return PanelGeometry(spec=GridSpec.square(256, 50e-6), waist=1e-3, **kw)
 
     @pytest.mark.parametrize("m5_in", ["false", "true"])
     def test_633_nm_panel_reads_ladder_charges(self, m5_in):
@@ -1094,11 +1110,11 @@ class TestMirroredOrdersShareFields:
             return original(pump, stokes, label)
 
         monkeypatch.setattr(interferometry, "observed_sideband", counting)
-        results = analyze_order_panel(panel_config(1, ell_s), self.geometry(), ORDERS)
+        results = analyze_order_panel(panel_config(1, ell_s), panel_geometry(), ORDERS)
         assert all(r.ok for r in results)
         assert len(seen) == calls
         seen.clear()
-        results = analyze_order_panel(panel_config(1, ell_s), self.geometry(), PARTNERLESS)
+        results = analyze_order_panel(panel_config(1, ell_s), panel_geometry(), PARTNERLESS)
         assert all(r.ok for r in results)
         assert len(seen) == {1: 4, -1: 5}[ell_s]
 
@@ -1108,7 +1124,7 @@ class TestMirroredOrdersShareFields:
         # p^a*conj(s)^b is the partner's product with its factors swapped,
         # and numpy's complex product can round differently that way round
         cfg = panel_config(1, ell_s)
-        geometry = self.geometry(noise_fraction=0.03, seed=7)
+        geometry = panel_geometry(noise_fraction=0.03, seed=7)
         for orders in (ORDERS, PARTNERLESS):
             for shared in analyze_order_panel(cfg, geometry, orders):
                 (alone,) = analyze_order_panel(cfg, geometry, [shared.label])
@@ -1124,7 +1140,7 @@ class TestMirroredOrdersShareFields:
     def test_each_seed_charge_sampled_once(self, monkeypatch, ell_p, ell_s, calls):
         # at the waist an LG mode does not depend on wavelength, so the four
         # seeds need one lg_mode_field call per distinct charge
-        spec = self.geometry().spec
+        spec = panel_geometry().spec
         for ell in {ell_p, ell_s, 0}:
             pump, stokes = (
                 lg_mode_field(LGModeIndex(0, ell), BeamParams(1e-3, lam), spec)
@@ -1139,7 +1155,7 @@ class TestMirroredOrdersShareFields:
             return original(index, beam, spec)
 
         monkeypatch.setattr(interferometry, "lg_mode_field", counting)
-        results = analyze_order_panel(panel_config(ell_p, ell_s), self.geometry(), ORDERS)
+        results = analyze_order_panel(panel_config(ell_p, ell_s), panel_geometry(), ORDERS)
         assert len(seen) == calls
         assert [r.reading.ell for r in results] == [
             sideband_charge(panel_config(ell_p, ell_s), r.label) for r in results
@@ -1173,6 +1189,6 @@ class TestMirroredOrdersShareFields:
             default_max_as=2, default_max_s=2
         )
         orders = [SidebandLabel(3), SidebandLabel(-2)]
-        as2, s2 = analyze_order_panel(cfg, self.geometry(), orders)
+        as2, s2 = analyze_order_panel(cfg, panel_geometry(), orders)
         assert as2.ok and as2.reading.ell == sideband_charge(cfg, as2.label)
-        assert s2.status.startswith("error: ladder index -2 reaches ")
+        assert s2.status.startswith("error: S2 would sit at ")

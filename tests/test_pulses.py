@@ -238,7 +238,7 @@ class TestSynthesizeWaveform:
         intensity = synthesize_waveform(comb, grid)
         energy = float(np.sum(intensity)) * dt
         expect = len(comb) * nt * dt  # unit channels
-        assert energy == pytest.approx(expect, rel=1e-6)
+        assert energy == pytest.approx(expect, rel=1e-6, abs=0.0)
 
     def test_nyquist_guard(self):
         comb = five_channel_comb()
